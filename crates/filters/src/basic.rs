@@ -133,7 +133,7 @@ impl Filter for TcpHousekeeping {
     }
 
     fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
-        h.update(self.key.map_or_else(String::new, |k| k.to_string()));
+        StreamKey::digest_opt(self.key, h);
         h.update_u64(self.fin_down as u64);
         h.update_u64(self.fin_up as u64);
     }

@@ -114,7 +114,7 @@ impl EditMap {
             h.update_u64(r.orig_start as u64);
             h.update_u64(r.orig_len as u64);
             h.update_u64(r.new_start as u64);
-            h.update(&r.out[..]);
+            h.update_words(&r.out);
             h.update_u64(r.identity as u64);
         }
     }

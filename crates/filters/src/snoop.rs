@@ -190,11 +190,11 @@ impl Filter for Snoop {
     }
 
     fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
-        h.update(self.down_key.map_or_else(String::new, |k| k.to_string()));
+        StreamKey::digest_opt(self.down_key, h);
         h.update_u64(self.base.map_or(u64::MAX, |b| b as u64));
         for (off, seg) in &self.cache {
             h.update_u64(*off);
-            h.update(seg.pkt.summary());
+            seg.pkt.state_digest(h);
             h.update_u64(seg.sent_at.as_micros());
             h.update_u64(seg.retx as u64);
         }

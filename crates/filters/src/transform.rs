@@ -248,7 +248,7 @@ impl StreamTransformer for Decompressor {
     }
 
     fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
-        h.update(&self.buf[..]);
+        h.update_words(&self.buf);
     }
 }
 
@@ -308,7 +308,7 @@ impl StreamTransformer for RecordDrop {
     }
 
     fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
-        h.update(self.parser.pending_bytes());
+        h.update_words(self.parser.pending_bytes());
     }
 }
 
@@ -412,7 +412,7 @@ impl StreamTransformer for Translator {
     }
 
     fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
-        h.update(self.parser.pending_bytes());
+        h.update_words(self.parser.pending_bytes());
     }
 }
 

@@ -349,7 +349,7 @@ impl Filter for Ttsf {
     }
 
     fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
-        h.update(self.down_key.map_or_else(String::new, |k| k.to_string()));
+        StreamKey::digest_opt(self.down_key, h);
         match &self.map {
             None => {
                 h.update_u64(u64::MAX);

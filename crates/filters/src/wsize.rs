@@ -220,14 +220,14 @@ impl Filter for Wsize {
     }
 
     fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
-        h.update(self.down_key.map_or_else(String::new, |k| k.to_string()));
+        StreamKey::digest_opt(self.down_key, h);
         h.update_u64(self.link_up as u64);
         match &self.last_uplink {
             None => {
                 h.update_u64(u64::MAX);
             }
             Some((pkt, seg)) => {
-                h.update(pkt.summary());
+                pkt.state_digest(h);
                 h.update_u64(seg.ack as u64);
                 h.update_u64(seg.window as u64);
             }

@@ -3,8 +3,9 @@
 //! Three checks, any failure exits nonzero with a banner:
 //!
 //! 1. the shipped-default exploration ([`McConfig::default`]) must finish
-//!    exhaustively (no step-budget hit) with zero violations and at least
-//!    30% fingerprint dedup;
+//!    exhaustively (no step-budget hit) with zero violations, at least 30%
+//!    fingerprint dedup, and exactly the shipped coverage counts
+//!    ([`SHIPPED_COUNTS`]);
 //! 2. the known-bug mutation (`mutate_skip_ack_translation`) must be
 //!    rediscovered as a `delivered-ack-regression` within the same budget,
 //!    and its minimized trace must replay to a violation;
@@ -15,6 +16,13 @@ use std::path::Path;
 use std::process::exit;
 
 use comma_mc::{explore, replay_mc_trace, write_mc_block, McConfig};
+
+/// States explored, states pruned and steps executed by the shipped-default
+/// exploration. The state fingerprint decides which arrivals merge, so a
+/// digest change that merges distinct states (unsound pruning) or splits
+/// equal ones (lost dedup) moves these counts; a deliberate change to the
+/// scenario or the fingerprint re-pins them.
+const SHIPPED_COUNTS: (u64, u64, u64) = (50_475, 42_258, 92_732);
 
 fn main() {
     let path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_macro.json".into());
@@ -27,6 +35,15 @@ fn main() {
     println!("wall: {wall_ms:.1} ms");
     if !report.exhausted_clean() || report.states_explored == 0 {
         eprintln!("mc gate FAILED: shipped exploration not clean/exhaustive");
+        exit(1);
+    }
+    let counts = (report.states_explored, report.states_pruned, report.steps_executed);
+    if counts != SHIPPED_COUNTS {
+        eprintln!(
+            "mc gate FAILED: (explored, pruned, steps) = {counts:?}, expected \
+             {SHIPPED_COUNTS:?} — the state fingerprint now merges or splits \
+             states it did not before"
+        );
         exit(1);
     }
     if report.dedup_ratio() < 0.30 {

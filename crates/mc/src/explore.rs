@@ -136,9 +136,13 @@ impl Explorer {
         self.report.violation.is_some() || self.report.budget_exhausted
     }
 
-    /// Explores everything reachable from `sim`'s current state. Runs
+    /// Explores everything reachable from `sim`'s current state, leaving
+    /// `sim` consumed (the caller must not use it afterwards). Runs
     /// single-choice chains in place (no snapshot) and only forks at real
-    /// branch points. `self.path` is restored to its entry length.
+    /// branch points, where the last choice also runs in place: the parent
+    /// world is dead once every other choice has its snapshot, so a k-way
+    /// fork takes k−1 snapshots. `self.path` is restored to its entry
+    /// length.
     fn dfs(&mut self, sim: &mut Simulator, proxy: NodeId, depth: usize, faults: usize) {
         let base = self.path.len();
         self.walk(sim, proxy, depth, faults);
@@ -160,23 +164,11 @@ impl Explorer {
                 self.report.terminal_states += 1;
                 return;
             }
-            let choices = self.enumerate(&options, faults);
-            if choices.len() == 1 {
-                let d = choices[0];
-                if !self.apply(sim, proxy, d) {
-                    return;
-                }
-                depth += 1;
-                if d.action != McAction::Deliver {
-                    faults += 1;
-                }
-                // A deterministic step still reaches a possibly-shared
-                // state (schedules converge); prune like any other.
-                if !self.note_state(sim) {
-                    return;
-                }
-                continue;
-            }
+            let mut choices = self.enumerate(&options, faults);
+            // The last choice continues this loop in place, after its
+            // siblings have explored their snapshots: same depth-first
+            // order as forking it too, one snapshot fewer.
+            let last = choices.pop().expect("options are non-empty");
             for d in choices {
                 if self.stop() {
                     return;
@@ -201,7 +193,18 @@ impl Explorer {
                 }
                 self.path.truncate(len_before);
             }
-            return;
+            if self.stop() || !self.apply(sim, proxy, last) {
+                return;
+            }
+            depth += 1;
+            if last.action != McAction::Deliver {
+                faults += 1;
+            }
+            // A deterministic step still reaches a possibly-shared state
+            // (schedules converge); prune like any other.
+            if !self.note_state(sim) {
+                return;
+            }
         }
     }
 

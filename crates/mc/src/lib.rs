@@ -21,9 +21,10 @@
 //!   budget.
 //!
 //! The explorer ([`Explorer`]) does a depth-first search over those
-//! decisions using cheap world snapshots
-//! ([`comma_netsim::sim::Simulator::snapshot`]) and prunes revisited
-//! states by their canonical FNV fingerprint
+//! decisions using world snapshots
+//! ([`comma_netsim::sim::Simulator::snapshot`]; the last choice of each
+//! fork reuses the parent world instead) and prunes revisited states by
+//! their canonical fingerprint
 //! ([`comma_netsim::sim::Simulator::state_hash`]). After every applied
 //! step it asserts the oracle's always-on invariants and every live TTSF
 //! edit map's structural invariants; a violation is greedily minimized

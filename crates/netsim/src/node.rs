@@ -73,6 +73,11 @@ pub trait Node {
     /// converge to the same protocol state hash equal. The default hashes
     /// nothing — fine for stateless nodes, a fingerprint blind spot for
     /// stateful ones (the model checker's docs call this out).
+    ///
+    /// Feed fields through the word fold (`update_u64`, `update_words`)
+    /// and unordered collections through `comma_rt::digest::SetDigest`;
+    /// never render text or allocate — `state_hash` runs once per explored
+    /// state and is pinned allocation-free.
     fn state_digest(&self, _h: &mut comma_rt::digest::Fnv1a) {}
 }
 

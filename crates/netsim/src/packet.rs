@@ -458,6 +458,82 @@ impl Packet {
             }
         }
     }
+
+    /// Folds the packet into a model-checker state fingerprint: the fields
+    /// [`Packet::summary`] shows (addresses, ports, flags, sequence and
+    /// acknowledgement numbers, window, length) plus the payload bytes,
+    /// since transforming filters can change content without changing the
+    /// summary. ICMP messages and tunneled packets fold structurally too.
+    /// Nothing is rendered; small fields share a word.
+    pub fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
+        let proto = u64::from(self.body.protocol().number()) << 56;
+        h.update_u64(u64::from(self.ip.src.0) << 32 | u64::from(self.ip.dst.0));
+        match &self.body {
+            IpPayload::Tcp(seg) => {
+                h.update_u64(
+                    proto
+                        | u64::from(seg.src_port) << 40
+                        | u64::from(seg.dst_port) << 24
+                        | u64::from(seg.window) << 8
+                        | u64::from(seg.flags.0),
+                );
+                h.update_u64(u64::from(seg.seq) << 32 | u64::from(seg.ack));
+                h.update_words(&seg.payload);
+            }
+            IpPayload::Udp(dgram) => {
+                h.update_u64(
+                    proto | u64::from(dgram.src_port) << 40 | u64::from(dgram.dst_port) << 24,
+                );
+                h.update_words(&dgram.payload);
+            }
+            IpPayload::Icmp(msg) => icmp_state_digest(h, proto, msg),
+            IpPayload::Encap(inner) => {
+                h.update_u64(proto);
+                inner.state_digest(h);
+            }
+        }
+    }
+}
+
+/// [`Packet::state_digest`] for an ICMP body: the message kind, then its
+/// fields.
+fn icmp_state_digest(h: &mut comma_rt::digest::Fnv1a, proto: u64, msg: &IcmpMessage) {
+    let kind = |k: u64| proto | k << 48;
+    match msg {
+        IcmpMessage::EchoRequest { id, seq, payload }
+        | IcmpMessage::EchoReply { id, seq, payload } => {
+            let k = kind(matches!(msg, IcmpMessage::EchoReply { .. }) as u64);
+            h.update_u64(k | u64::from(*id) << 16 | u64::from(*seq));
+            h.update_words(payload);
+        }
+        IcmpMessage::RouterAdvertisement {
+            addrs,
+            lifetime,
+            agent,
+        } => {
+            h.update_u64(kind(2) | u64::from(*lifetime));
+            h.update_u64(addrs.len() as u64);
+            for a in addrs {
+                h.update_u64(u64::from(a.0));
+            }
+            match agent {
+                None => h.update_u64(u64::MAX),
+                Some(ag) => h
+                    .update_u64(
+                        u64::from(ag.sequence) << 48
+                            | u64::from(ag.registration_lifetime) << 32
+                            | u64::from(ag.care_of.0),
+                    )
+                    .update_u64(u64::from(ag.home_agent) << 1 | u64::from(ag.foreign_agent)),
+            };
+        }
+        IcmpMessage::RouterSolicitation => {
+            h.update_u64(kind(3));
+        }
+        IcmpMessage::Unreachable { code } => {
+            h.update_u64(kind(4) | u64::from(*code));
+        }
+    }
 }
 
 /// Encoded length of an ICMP message, consistent with [`crate::wire`].
@@ -547,6 +623,56 @@ mod tests {
         assert_eq!(pkt.ip.protocol, IpProto::Icmp);
         assert_eq!(IpProto::from_number(6), Some(IpProto::Tcp));
         assert_eq!(IpProto::from_number(99), None);
+    }
+
+    #[test]
+    fn state_digest_covers_every_summary_field_and_the_payload() {
+        fn digest(pkt: &Packet) -> u64 {
+            let mut h = comma_rt::digest::Fnv1a::new();
+            pkt.state_digest(&mut h);
+            h.finish()
+        }
+        let mut seg = TcpSegment::new(7, 1169, 100, 200, TcpFlags::ACK);
+        seg.window = 8760;
+        seg.payload = Bytes::from_static(b"hello");
+        let base = Packet::tcp(addr(1), addr(2), seg);
+        assert_eq!(digest(&base), digest(&base.clone()));
+        let edits: [fn(&mut Packet); 10] = [
+            |p| p.ip.src = addr(9),
+            |p| p.ip.dst = addr(9),
+            |p| p.as_tcp_mut().unwrap().src_port = 8,
+            |p| p.as_tcp_mut().unwrap().dst_port = 8,
+            |p| p.as_tcp_mut().unwrap().flags = TcpFlags::ACK | TcpFlags::FIN,
+            |p| p.as_tcp_mut().unwrap().seq = 101,
+            |p| p.as_tcp_mut().unwrap().ack = 201,
+            |p| p.as_tcp_mut().unwrap().window = 8761,
+            |p| p.as_tcp_mut().unwrap().payload = Bytes::from_static(b"hellO"),
+            |p| p.as_tcp_mut().unwrap().payload = Bytes::from_static(b"hello!"),
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut p = base.clone();
+            edit(&mut p);
+            assert_ne!(digest(&p), digest(&base), "edit {i} not folded");
+        }
+        // Tunnels fold their inner packet, payload included.
+        let mut inner = base.clone();
+        inner.as_tcp_mut().unwrap().payload = Bytes::from_static(b"world");
+        assert_ne!(
+            digest(&Packet::encap(addr(3), addr(4), base.clone())),
+            digest(&Packet::encap(addr(3), addr(4), inner))
+        );
+        let echo = |id| {
+            Packet::icmp(
+                addr(1),
+                addr(2),
+                IcmpMessage::EchoRequest {
+                    id,
+                    seq: 1,
+                    payload: Bytes::new(),
+                },
+            )
+        };
+        assert_ne!(digest(&echo(1)), digest(&echo(2)));
     }
 
     #[test]

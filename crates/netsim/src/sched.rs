@@ -290,6 +290,22 @@ pub struct TimerWheel<T> {
     purged: u64,
 }
 
+/// Set-bit indices of an occupancy bitmap, lowest first.
+struct OccupiedSlots(u64);
+
+impl Iterator for OccupiedSlots {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let slot = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(slot)
+    }
+}
+
 impl<T> Default for TimerWheel<T> {
     fn default() -> Self {
         Self::new()
@@ -742,25 +758,45 @@ impl<T> TimerWheel<T> {
         })
     }
 
-    /// Visits every pending live entry as `(time, seq, item)` in
-    /// `(time, seq)` pop order — ready batch first, then wheel and
-    /// overflow. Canonical-fingerprint use: two wheels that would pop the
-    /// same items at the same times visit identically, regardless of slot
-    /// layout or heap arity.
-    pub fn for_each_pending(&self, mut f: impl FnMut(u64, u64, &T)) {
-        let all = self
-            .ready
-            .iter()
-            .chain(self.levels.iter().flatten().flatten())
-            .chain(self.overflow.iter().map(|e| &e.0));
-        let mut pending: Vec<(u64, u64, &T)> = all
-            .filter(|e| self.entry_live(e))
-            .map(|e| (e.time, e.seq, &e.item))
-            .collect();
-        pending.sort_by_key(|&(time, seq, _)| (time, seq));
-        for (time, seq, item) in pending {
-            f(time, seq, item);
+    /// Visits every pending live entry as `(time, rank, item)`, where
+    /// `rank` is the entry's FIFO position among the live entries due at
+    /// the same microsecond. Visit order is unspecified, but `(time, rank)`
+    /// pins each entry's place in `(time, seq)` pop order without exposing
+    /// `seq`; canonical-fingerprint use combines per-entry digests order-
+    /// free, and two wheels that would pop the same items at the same times
+    /// then digest equal regardless of slot layout, heap arity or sequence
+    /// numbering.
+    ///
+    /// Allocation-free: an entry due at `t` can only sit in the ready
+    /// batch, in the slot of `t`'s digit on each level, or in the overflow
+    /// heap, so its rank is counted there rather than by sorting.
+    pub fn for_each_pending_ranked(&self, mut f: impl FnMut(u64, u64, &T)) {
+        self.for_each_live(|e| f(e.time, self.rank_in_batch(e), &e.item));
+    }
+
+    /// Visits every live entry: ready batch, occupied wheel slots, overflow.
+    fn for_each_live<'a>(&'a self, mut f: impl FnMut(&'a Entry<T>)) {
+        let ready = self.ready.iter();
+        let wheel = self.levels.iter().zip(self.occ).flat_map(|(slots, occ)| {
+            OccupiedSlots(occ).flat_map(move |slot| slots[slot].iter())
+        });
+        let overflow = self.overflow.iter().map(|e| &e.0);
+        for e in ready.chain(wheel).chain(overflow) {
+            if self.entry_live(e) {
+                f(e);
+            }
         }
+    }
+
+    /// Live entries due at `e`'s microsecond that pop before it.
+    fn rank_in_batch(&self, e: &Entry<T>) -> u64 {
+        let before = |o: &&Entry<T>| o.time == e.time && o.seq < e.seq && self.entry_live(o);
+        let slots = (0..WHEEL_LEVELS).flat_map(|level| {
+            let slot = (e.time >> (WHEEL_BITS * level as u32)) & (WHEEL_SLOTS as u64 - 1);
+            self.levels[level][slot as usize].iter()
+        });
+        let overflow = self.overflow.iter().map(|o| &o.0);
+        self.ready.iter().chain(slots).chain(overflow).filter(before).count() as u64
     }
 
     /// Number of live entries in the next due batch (all at the same
@@ -927,6 +963,55 @@ mod tests {
         }
         assert!(w.pop().is_none());
         assert!(popped.len() > 100, "workload actually interleaved pops");
+    }
+
+    /// The ranked visit names every live entry by `(time, FIFO position
+    /// within its microsecond)`, exactly as a full drain would pop them,
+    /// on a workload dense in same-microsecond ties and cancellations.
+    #[test]
+    fn ranked_visit_matches_pop_order() {
+        use comma_rt::{Rng, SeedableRng, SmallRng};
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        let mut now = 0u64;
+        let mut handles = Vec::new();
+        for round in 0..400u32 {
+            for b in 0..rng.gen_range(0..5u32) {
+                let horizon = [0, 1, 7, 64, 4_100, 300_000][rng.gen_range(0..6usize)];
+                let t = SimTime::from_micros(now + horizon);
+                if rng.gen_range(0..3u32) == 0 {
+                    handles.push(w.schedule_with_handle(t, round * 8 + b));
+                } else {
+                    w.schedule(t, round * 8 + b);
+                }
+            }
+            if !handles.is_empty() && rng.gen_range(0..4u32) == 0 {
+                let h = handles.swap_remove(rng.gen_range(0..handles.len()));
+                w.cancel(h);
+            }
+            if rng.gen_range(0..3u32) == 0 {
+                if let Some((t, _)) = w.pop() {
+                    now = t.as_micros();
+                }
+            }
+            if round % 40 != 39 {
+                continue;
+            }
+            let mut ranked = Vec::new();
+            w.for_each_pending_ranked(|time, rank, &v| ranked.push((time, rank, v)));
+            ranked.sort_unstable();
+            let mut drained = Vec::new();
+            let mut copy = w.try_clone_with(|v| Ok::<u32, ()>(*v)).unwrap();
+            while let Some((t, v)) = copy.pop() {
+                let t = t.as_micros();
+                let rank = match drained.last() {
+                    Some(&(lt, lr, _)) if lt == t => lr + 1,
+                    _ => 0,
+                };
+                drained.push((t, rank, v));
+            }
+            assert_eq!(ranked, drained, "round {round}");
+        }
     }
 
     #[test]

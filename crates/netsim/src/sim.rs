@@ -108,12 +108,12 @@ impl Event {
     fn digest_into(&self, h: &mut comma_rt::digest::Fnv1a) {
         match self {
             Event::TxComplete { channel, pkt } => {
-                h.update(b"tx").update_u64(channel.0 as u64);
-                digest_packet(h, pkt);
+                h.update_u64(0).update_u64(channel.0 as u64);
+                pkt.state_digest(h);
             }
             Event::Deliver { channel, pkt } => {
-                h.update(b"dl").update_u64(channel.0 as u64);
-                digest_packet(h, pkt);
+                h.update_u64(1).update_u64(channel.0 as u64);
+                pkt.state_digest(h);
             }
             Event::Timer { node, token: _ } => {
                 // The token names a socket or filter instance, and that
@@ -123,31 +123,15 @@ impl Event {
                 // is digested canonically inside the owning node's
                 // state_digest; the pending event contributes only its
                 // existence and target.
-                h.update(b"tm").update_u64(node.0 as u64);
+                h.update_u64(2).update_u64(node.0 as u64);
             }
             Event::Control(_) => {
-                h.update(b"ct");
+                h.update_u64(3);
             }
             Event::FluidEpoch { channel } => {
-                h.update(b"fl").update_u64(channel.0 as u64);
+                h.update_u64(4).update_u64(channel.0 as u64);
             }
         }
-    }
-}
-
-/// Canonical packet digest: the summary line covers addressing, flags, and
-/// sequence numbers; TCP/UDP payload bytes are folded in besides, since
-/// transforming filters can change content without changing the summary.
-fn digest_packet(h: &mut comma_rt::digest::Fnv1a, pkt: &Packet) {
-    h.update(pkt.summary());
-    match &pkt.body {
-        crate::packet::IpPayload::Tcp(seg) => {
-            h.update(&seg.payload[..]);
-        }
-        crate::packet::IpPayload::Udp(d) => {
-            h.update(&d.payload[..]);
-        }
-        _ => {}
     }
 }
 
@@ -1130,24 +1114,34 @@ impl Simulator {
         })
     }
 
-    /// Canonical FNV-1a fingerprint of the world's *behavior-relevant*
-    /// state: simulated time, pending events in `(time, seq)` pop order
-    /// (sequence numbers themselves excluded, so interleavings that
-    /// converge to the same pending set hash equal), per-node digests
-    /// ([`Node::state_digest`]), every RNG stream, and per-channel link
-    /// state. Diagnostic counters (trace, stats, `events_processed`) are
-    /// deliberately left out for the same convergence reason.
+    /// Canonical fingerprint of the world's *behavior-relevant* state:
+    /// simulated time, pending events by `(time, FIFO position within the
+    /// microsecond)` (sequence numbers themselves excluded, so
+    /// interleavings that converge to the same pending set hash equal),
+    /// per-node digests ([`Node::state_digest`]), every RNG stream, and
+    /// per-channel link state. Diagnostic counters (trace, stats,
+    /// `events_processed`) are deliberately left out for the same
+    /// convergence reason.
     ///
-    /// Iteration never touches a hash map, and `Bytes` payloads are hashed
-    /// by content — the fingerprint is independent of allocation addresses
-    /// and map iteration order, and stable across runs of the same world.
+    /// Fields are folded structurally through the word feed
+    /// ([`comma_rt::digest::Fnv1a::update_u64`]), never rendered to text;
+    /// unordered collections (the pending set, socket tables, hash maps)
+    /// are combined order-free ([`comma_rt::digest::SetDigest`]) rather
+    /// than collected and sorted. The fingerprint is independent of
+    /// allocation addresses and map iteration order, stable across runs of
+    /// the same world, and computing it allocates nothing.
     pub fn state_hash(&self) -> u64 {
-        let mut h = comma_rt::digest::Fnv1a::new();
+        use comma_rt::digest::{Fnv1a, SetDigest};
+        let mut h = Fnv1a::new();
         h.update_u64(self.now.as_micros());
-        self.sched.for_each_pending(|time, _seq, ev| {
-            h.update_u64(time);
-            ev.digest_into(&mut h);
+        let mut pending = SetDigest::default();
+        self.sched.for_each_pending_ranked(|time, rank, ev| {
+            let mut sub = Fnv1a::new();
+            sub.update_u64(time).update_u64(rank);
+            ev.digest_into(&mut sub);
+            pending.add(&sub);
         });
+        pending.fold_into(&mut h);
         for (i, slot) in self.nodes.iter().enumerate() {
             if let Some(node) = slot {
                 h.update_u64(i as u64);
@@ -1165,8 +1159,9 @@ impl Simulator {
         for ch in &self.channels {
             h.update_u64(ch.busy as u64);
             h.update_u64(ch.queued_bytes as u64);
+            h.update_u64(ch.queue.len() as u64);
             for pkt in &ch.queue {
-                digest_packet(&mut h, pkt);
+                pkt.state_digest(&mut h);
             }
             h.update_u64(ch.loss_state.bad as u64);
             h.update_u64(ch.params.up as u64);

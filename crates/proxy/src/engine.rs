@@ -1206,40 +1206,32 @@ impl FilterEngine {
     /// canonical world fingerprint. Counters and the diagnostic log are
     /// excluded.
     pub fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
+        use comma_rt::digest::{Fnv1a, SetDigest};
         h.update_u64(self.reg_generation);
         for slot in self.registrations.iter().flatten() {
             h.update_u64(slot.id as u64);
-            h.update(slot.wild.to_string());
-            h.update(&*slot.filter);
+            slot.wild.state_digest(h);
+            h.update_words(slot.filter.as_bytes());
         }
         // Instance slot order records packet-arrival history (wildcard
         // registrations spawn an instance when a stream's first packet
         // shows up), while per-packet processing selects instances by
-        // stream key — so slot order is not behavior. Fold instances in
-        // canonical (kind, keys) order so schedules that converge on the
-        // same instance set hash equal regardless of spawn order.
-        let mut inst_digests: Vec<(String, u64)> = self
-            .instances
-            .iter()
-            .flatten()
-            .map(|inst| {
-                let mut key = inst.kind.to_string();
-                let mut sub = comma_rt::digest::Fnv1a::new();
-                sub.update(&*inst.kind);
-                for k in &inst.keys {
-                    let k = k.to_string();
-                    key.push(' ');
-                    key.push_str(&k);
-                    sub.update(k);
-                }
-                inst.filter.state_digest(&mut sub);
-                (key, sub.finish())
-            })
-            .collect();
-        inst_digests.sort_unstable();
-        for (_, d) in inst_digests {
-            h.update_u64(d);
+        // stream key — so slot order is not behavior. Fold the instances
+        // as a set, each with its kind and keys, so schedules that
+        // converge on the same instance set hash equal regardless of spawn
+        // order.
+        let mut instances = SetDigest::default();
+        for inst in self.instances.iter().flatten() {
+            let mut sub = Fnv1a::new();
+            sub.update_words(inst.kind.as_bytes());
+            sub.update_u64(inst.keys.len() as u64);
+            for k in &inst.keys {
+                k.state_digest(&mut sub);
+            }
+            inst.filter.state_digest(&mut sub);
+            instances.add(&sub);
         }
+        instances.fold_into(h);
         self.flows.state_digest(h);
         // Timer tokens name instances, and instance numbering is arrival
         // history too; the delay alone is the behavior-relevant part.

@@ -323,7 +323,9 @@ pub trait Filter {
     /// reassembly buffers — not counters) into a canonical world
     /// fingerprint. The default (empty) is sound only for stateless
     /// filters; a stateful filter that skips it blinds the model checker's
-    /// visited-set to its state.
+    /// visited-set to its state. Fold fields structurally, as
+    /// [`comma_netsim::node::Node::state_digest`] asks: no rendering, no
+    /// allocation.
     fn state_digest(&self, _h: &mut comma_rt::digest::Fnv1a) {}
 }
 

@@ -54,23 +54,26 @@ pub struct FlowTable {
 }
 
 impl FlowTable {
-    /// Folds the table into a canonical fingerprint: entries visited in
-    /// sorted key order (the FNV map's iteration order is seed-free but
-    /// capacity-dependent, so it is not canonical across histories).
+    /// Folds the table into a canonical fingerprint: the entries as a set
+    /// (the FNV map's iteration order is seed-free but capacity-dependent,
+    /// so it is not canonical across histories).
     pub fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
-        let mut keys: Vec<&StreamKey> = self.map.keys().collect();
-        keys.sort_unstable();
-        for key in keys {
-            let entry = &self.map[key];
-            h.update(key.to_string());
+        let mut entries = comma_rt::digest::SetDigest::default();
+        for (key, entry) in &self.map {
+            let mut sub = comma_rt::digest::Fnv1a::new();
+            key.state_digest(&mut sub);
+            sub.update_u64(entry.members.len() as u64);
             for m in entry.members.iter() {
-                h.update_u64(*m as u64);
+                sub.update_u64(*m as u64);
             }
+            sub.update_u64(entry.applied.len() as u64);
             for a in &entry.applied {
-                h.update_u64(*a as u64);
+                sub.update_u64(*a as u64);
             }
-            h.update_u64(entry.generation);
+            sub.update_u64(entry.generation);
+            entries.add(&sub);
         }
+        entries.fold_into(h);
     }
 
     /// Creates an empty table.

@@ -65,6 +65,25 @@ impl StreamKey {
     }
 }
 
+impl StreamKey {
+    /// Folds the key into a model-checker state fingerprint: two words,
+    /// nothing rendered.
+    pub fn state_digest(self, h: &mut comma_rt::digest::Fnv1a) {
+        Self::digest_opt(Some(self), h);
+    }
+
+    /// [`StreamKey::state_digest`] for an optional key (a filter's
+    /// not-yet-learned direction); `None` differs from every key.
+    pub fn digest_opt(key: Option<StreamKey>, h: &mut comma_rt::digest::Fnv1a) {
+        match key {
+            None => h.update_u64(0).update_u64(0),
+            Some(k) => h
+                .update_u64(u64::from(k.src.0) << 32 | u64::from(k.dst.0))
+                .update_u64(1 << 32 | u64::from(k.sport) << 16 | u64::from(k.dport)),
+        };
+    }
+}
+
 impl fmt::Display for StreamKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -140,6 +159,22 @@ impl WildKey {
             dst: self.dst?,
             dport: self.dport?,
         })
+    }
+}
+
+impl WildKey {
+    /// Folds the key into a model-checker state fingerprint: two words,
+    /// with a presence bit per portion so a blank differs from `0.0.0.0`
+    /// or port 0.
+    pub fn state_digest(self, h: &mut comma_rt::digest::Fnv1a) {
+        let present = u64::from(self.src.is_some()) << 3
+            | u64::from(self.sport.is_some()) << 2
+            | u64::from(self.dst.is_some()) << 1
+            | u64::from(self.dport.is_some());
+        let addr = |a: Option<Ipv4Addr>| u64::from(a.map_or(0, |a| a.0));
+        let port = |p: Option<u16>| u64::from(p.unwrap_or(0));
+        h.update_u64(addr(self.src) << 32 | addr(self.dst));
+        h.update_u64(present << 32 | port(self.sport) << 16 | port(self.dport));
     }
 }
 
@@ -294,5 +329,39 @@ mod tests {
         );
         let icmp = Packet::icmp(src, dst, IcmpMessage::RouterSolicitation);
         assert_eq!(StreamKey::of_packet(&icmp), None);
+    }
+
+    #[test]
+    fn digests_fold_every_portion() {
+        fn digest(f: impl FnOnce(&mut comma_rt::digest::Fnv1a)) -> u64 {
+            let mut h = comma_rt::digest::Fnv1a::new();
+            f(&mut h);
+            h.finish()
+        }
+        let key: StreamKey = "11.11.10.99 7 11.11.10.10 1169".parse().unwrap();
+        let keys = [
+            key,
+            key.reverse(),
+            StreamKey { sport: 8, ..key },
+            StreamKey { dport: 1170, ..key },
+        ];
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(digest(|h| a.state_digest(h)), digest(|h| b.state_digest(h)));
+            }
+        }
+        assert_ne!(
+            digest(|h| StreamKey::digest_opt(None, h)),
+            digest(|h| StreamKey::new(Ipv4Addr(0), 0, Ipv4Addr(0), 0).state_digest(h))
+        );
+        // A blank wild-card portion is not the zero address or port.
+        let blank = WildKey::ANY;
+        let zeros = WildKey {
+            src: Some(Ipv4Addr::UNSPECIFIED),
+            sport: Some(0),
+            dst: Some(Ipv4Addr::UNSPECIFIED),
+            dport: Some(0),
+        };
+        assert_ne!(digest(|h| blank.state_digest(h)), digest(|h| zeros.state_digest(h)));
     }
 }

@@ -17,7 +17,8 @@
 //!   median/p95 reporting) keeping the bench crate runnable.
 //!
 //! Plus [`digest`], a small FNV-1a hasher used by the determinism tests to
-//! fingerprint traces, and [`alloc`], a counting global-allocator harness
+//! fingerprint traces (with a word-folding feed for model-checker state
+//! fingerprints), and [`alloc`], a counting global-allocator harness
 //! (feature `alloc-stats`) that lets benches and CI assert
 //! allocations-per-event budgets instead of guessing.
 //!

@@ -35,7 +35,7 @@ impl SendBuffer {
     /// canonical state fingerprint.
     pub fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
         h.update_u64(self.base_seq as u64);
-        h.update(&self.data[..]);
+        h.update_words(&self.data[..]);
     }
 
     /// Sequence number one past the last buffered byte.
@@ -113,10 +113,10 @@ impl RecvBuffer {
     pub fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
         h.update_u64(self.rcv_nxt as u64);
         h.update_u64(self.capacity as u64);
-        h.update(&self.ready[..]);
+        h.update_words(&self.ready[..]);
         for (seq, data) in &self.ooo {
             h.update_u64(*seq as u64);
-            h.update(&data[..]);
+            h.update_words(&data[..]);
         }
     }
 

@@ -704,45 +704,42 @@ impl Node for Host {
     }
 
     fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
+        use comma_rt::digest::{Fnv1a, SetDigest};
+        h.update_u64(self.addrs.len() as u64);
         for a in &self.addrs {
-            h.update(a.to_string());
+            h.update_u64(u64::from(a.0));
         }
         // Socket slot order records accept/connect history (two SYNs in
         // the same due batch allocate slots in arrival order), while the
         // wire behavior of each connection is keyed by its 4-tuple. Fold
-        // sockets in canonical 4-tuple order so converging schedules hash
-        // equal regardless of which connection was set up first.
-        let mut sock_digests: Vec<(u16, String, u16, u64)> = self
-            .sockets
-            .iter()
-            .map(|e| {
-                let mut sub = comma_rt::digest::Fnv1a::new();
-                sub.update_u64(e.local.1 as u64);
-                sub.update_u64(e.remote.1 as u64);
-                sub.update_u64(e.app as u64);
-                sub.update_u64(e.passive as u64);
-                // The armed deadline matters (it decides what fires when);
-                // the slab handle is allocation history and must stay out.
-                sub.update_u64(e.timer.map_or(u64::MAX, |(d, _)| d.as_micros()));
-                e.conn.state_digest(&mut sub);
-                (e.local.1, e.remote.0.to_string(), e.remote.1, sub.finish())
-            })
-            .collect();
-        sock_digests.sort_unstable();
-        for (_, _, _, d) in sock_digests {
-            h.update_u64(d);
+        // the sockets as a set, each with its full 4-tuple, so converging
+        // schedules hash equal regardless of which connection was set up
+        // first.
+        let mut sockets = SetDigest::default();
+        for e in &self.sockets {
+            let mut sub = Fnv1a::new();
+            sub.update_u64(u64::from(e.local.0 .0) << 32 | u64::from(e.remote.0 .0));
+            sub.update_u64(u64::from(e.local.1) << 16 | u64::from(e.remote.1));
+            sub.update_u64(e.app as u64);
+            sub.update_u64(e.passive as u64);
+            // The armed deadline matters (it decides what fires when);
+            // the slab handle is allocation history and must stay out.
+            sub.update_u64(e.timer.map_or(u64::MAX, |(d, _)| d.as_micros()));
+            e.conn.state_digest(&mut sub);
+            sockets.add(&sub);
         }
+        sockets.fold_into(h);
+        h.update_u64(self.listeners.len() as u64);
         for l in &self.listeners {
             h.update_u64(l.port as u64);
             h.update_u64(l.app as u64);
         }
-        // HashMap iteration order is arbitrary; sort for a canonical walk.
-        let mut binds: Vec<(u16, usize)> = self.udp_binds.iter().map(|(&p, &a)| (p, a)).collect();
-        binds.sort_unstable();
-        for (port, app) in binds {
-            h.update_u64(port as u64);
-            h.update_u64(app as u64);
+        // HashMap iteration order is arbitrary: fold the binds as a set.
+        let mut binds = SetDigest::default();
+        for (&port, &app) in &self.udp_binds {
+            binds.add(Fnv1a::new().update_u64(port as u64).update_u64(app as u64));
         }
+        binds.fold_into(h);
         h.update_u64(self.next_port as u64);
         for (i, slot) in self.apps.iter().enumerate() {
             if let Some(app) = slot {
@@ -750,5 +747,54 @@ impl Node for Host {
                 app.state_digest(h);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const LOCAL: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
+
+    fn socket(local_port: u16, remote: (Ipv4Addr, u16), iss: u32) -> SocketEntry {
+        SocketEntry {
+            conn: TcpConnection::new(TcpConfig::default(), iss),
+            local: (LOCAL, local_port),
+            remote,
+            app: 0,
+            passive: false,
+            obs_scope: None,
+            last_state: TcpState::Closed,
+            timer: None,
+        }
+    }
+
+    fn host(sockets: Vec<SocketEntry>) -> Host {
+        let mut host = Host::new("h", LOCAL);
+        host.sockets = sockets;
+        host
+    }
+
+    fn digest(host: &Host) -> u64 {
+        let mut h = comma_rt::digest::Fnv1a::new();
+        host.state_digest(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn socket_digest_covers_peer_address_and_ignores_slot_order() {
+        let peer_a = (Ipv4Addr::new(10, 0, 0, 2), 80);
+        let peer_b = (Ipv4Addr::new(10, 0, 0, 3), 80);
+        // Same ports, same connection state, different peer: these worlds
+        // put different packets on the wire and must not be pruned as one.
+        assert_ne!(
+            digest(&host(vec![socket(1024, peer_a, 7)])),
+            digest(&host(vec![socket(1024, peer_b, 7)]))
+        );
+        // Slot order is connect/accept history, not behavior.
+        assert_eq!(
+            digest(&host(vec![socket(1024, peer_a, 7), socket(1025, peer_b, 9)])),
+            digest(&host(vec![socket(1025, peer_b, 9), socket(1024, peer_a, 7)]))
+        );
     }
 }

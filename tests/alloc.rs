@@ -10,6 +10,9 @@
 #![cfg(feature = "alloc-stats")]
 
 use comma_bench::scale::{event_core_alloc_probe, sharded_alloc_probe};
+use comma_repro::mc::{build_scenario, McConfig};
+use comma_repro::netsim::sim::McAction;
+use comma_repro::rt::alloc::AllocScope;
 
 #[test]
 fn serial_event_core_is_allocation_free_after_warmup() {
@@ -33,4 +36,31 @@ fn sharded_window_loop_is_allocation_free_after_warmup() {
              times in steady state (after {warm} warmup allocations)"
         );
     }
+}
+
+/// The model checker fingerprints every state it reaches, so the hash is
+/// on its hottest path: it folds fields structurally and combines
+/// unordered sets by sum — no rendering, no collecting, no sorting, and
+/// therefore no heap traffic at all.
+#[test]
+fn state_hash_is_allocation_free() {
+    let cfg = McConfig {
+        max_faults: 0,
+        ..McConfig::default()
+    };
+    let mut world = build_scenario(&cfg);
+    // Mid-transfer: sockets established, TTSF instances spawned, packets
+    // with payload in flight.
+    for step in 0..40 {
+        let options = world.sim.mc_options();
+        assert!(!options.is_empty(), "scenario quiesced after {step} steps");
+        world.sim.mc_step(step % options.len(), McAction::Deliver).unwrap();
+    }
+    let expected = world.sim.state_hash();
+    let scope = AllocScope::begin();
+    for _ in 0..100 {
+        assert_eq!(world.sim.state_hash(), expected);
+    }
+    let d = scope.delta();
+    assert_eq!(d.allocs, 0, "100 state_hash calls allocated {} times", d.allocs);
 }

@@ -102,6 +102,22 @@ fn mc_reduced_exploration_exhausts_clean_with_dedup() {
     );
 }
 
+/// The fingerprint partition is pinned: the reduced exploration visits
+/// exactly these many distinct states, cuts exactly these many arrivals and
+/// executes exactly these many steps. A digest change that merges distinct
+/// states or splits equal ones fails here by name, long before it would
+/// sink the dedup floor above.
+#[test]
+fn mc_reduced_exploration_counts_are_pinned() {
+    let report = explore(&reduced());
+    assert_eq!(
+        (report.states_explored, report.states_pruned, report.steps_executed),
+        (2_877, 2_554, 5_430),
+        "{}",
+        report.render()
+    );
+}
+
 /// Pinned known-bug rediscovery (the shipped-bounds sweep found no organic
 /// counterexample, so this mutation is the checker's teeth): arming
 /// `Ttsf::mutate_skip_ack_translation` mid-stream must surface a
