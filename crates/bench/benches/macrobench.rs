@@ -80,55 +80,6 @@ fn engine_ns_per_pkt(pkts: u64) -> f64 {
     t.elapsed().as_nanos() as f64 / pkts as f64
 }
 
-/// Batched dispatch cost: ns per packet through the same 4-filter chain,
-/// `depth` packets per `process_batch` call. Also returns the engine's
-/// honest average batch depth (`batch_pkts / batches`, including the
-/// priming call).
-fn engine_ns_per_pkt_batched(pkts: u64, depth: usize) -> (f64, f64) {
-    let mut engine = FilterEngine::new(standard_catalog(comma_filters::ALL_FILTERS));
-    engine.register(WildKey::ANY, "tcp", vec![]).unwrap();
-    engine.register(WildKey::ANY, "snoop", vec![]).unwrap();
-    engine
-        .register(
-            WildKey::ANY,
-            "wsize",
-            vec!["scale".into(), "90".into()],
-        )
-        .unwrap();
-    engine.register(WildKey::ANY, "tcp", vec![]).unwrap();
-
-    let payload = Bytes::from(vec![0xabu8; 1400]);
-    let src = "11.11.10.99".parse().unwrap();
-    let dst = "11.11.10.10".parse().unwrap();
-    let mut rng = SmallRng::seed_from_u64(1);
-
-    let mut seg = TcpSegment::new(7, 1169, 0, 0, TcpFlags::ACK);
-    seg.payload = payload.clone();
-    engine.process(SimTime::ZERO, &mut rng, &NullMetrics, Packet::tcp(src, dst, seg));
-
-    let mut input = Vec::with_capacity(depth);
-    let mut out = Vec::with_capacity(depth * 2);
-    let mut dropped = Vec::new();
-    let t = Instant::now();
-    let mut i = 0u64;
-    while i < pkts {
-        for _ in 0..depth {
-            let mut seg =
-                TcpSegment::new(7, 1169, (i as u32).wrapping_mul(1400), 0, TcpFlags::ACK);
-            seg.payload = payload.clone();
-            input.push(Packet::tcp(src, dst, seg));
-            i += 1;
-        }
-        engine.process_batch(SimTime::ZERO, &mut rng, &NullMetrics, &mut input, &mut out, &mut dropped);
-        std::hint::black_box(&out);
-        out.clear();
-        dropped.clear();
-    }
-    let ns = t.elapsed().as_nanos() as f64 / i as f64;
-    let avg = engine.totals.batch_pkts as f64 / engine.totals.batches.max(1) as f64;
-    (ns, avg)
-}
-
 /// End-to-end transfer through the standard topology with the same
 /// 4-filter chain installed on the Service Proxy. Returns
 /// `(pkts_per_sec, events_per_sec, engine_pkts, sim_events, bytes_received)`.
@@ -250,13 +201,6 @@ fn main() {
     eprintln!("macrobench: engine dispatch ({engine_pkts} pkts, 4-filter chain)...");
     let ns_per_pkt = engine_ns_per_pkt(engine_pkts);
     eprintln!("macrobench:   engine_ns_per_pkt = {ns_per_pkt:.1}");
-
-    eprintln!("macrobench: engine batched dispatch ({engine_pkts} pkts, depth 64)...");
-    let (ns_per_pkt_batched, batch_depth_avg) = engine_ns_per_pkt_batched(engine_pkts, 64);
-    eprintln!(
-        "macrobench:   engine_ns_per_pkt_batched = {ns_per_pkt_batched:.1} \
-         (avg batch depth {batch_depth_avg:.2})"
-    );
 
     eprintln!("macrobench: end-to-end transfer ({transfer_bytes} B)...");
     let (pkts_per_sec, transfer_events_per_sec, pkts, events, received) =
@@ -481,8 +425,6 @@ fn main() {
     let entry = format!(
         "  {{\n    \"unix_ts\": {unix_ts},\n    \"fast\": {fast},\n    \
          \"engine_ns_per_pkt\": {ns_per_pkt:.1},\n    \
-         \"engine_ns_per_pkt_batched\": {ns_per_pkt_batched:.1},\n    \
-         \"batch_depth_avg\": {batch_depth_avg:.2},\n    \
          \"pkts_per_sec\": {pkts_per_sec:.1},\n    \
          \"events_per_sec\": {events_per_sec:.1},\n    \
          \"transfer_events_per_sec\": {transfer_events_per_sec:.1},\n    \
@@ -515,8 +457,6 @@ fn main() {
          \"events_per_sec\": {events_per_sec:.1},\n  \
          \"engine_pkts\": {engine_pkts},\n  \
          \"engine_ns_per_pkt\": {ns_per_pkt:.1},\n  \
-         \"engine_ns_per_pkt_batched\": {ns_per_pkt_batched:.1},\n  \
-         \"batch_depth_avg\": {batch_depth_avg:.2},\n  \
          \"transfer_bytes\": {transfer_bytes},\n  \
          \"proxy_pkts\": {pkts},\n  \
          \"pkts_per_sec\": {pkts_per_sec:.1},\n  \

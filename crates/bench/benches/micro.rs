@@ -114,46 +114,6 @@ fn bench_engine(bench: &mut Bench) {
         chain.process(SimTime::ZERO, &mut rng, &NullMetrics, pkt)
     });
 
-    // The same chain through the batched entry point at three depths. Each
-    // iteration is one `process_batch` call over `depth` packets of one
-    // flow; divide the reported time by the depth for ns/pkt.
-    for depth in [1usize, 16, 64] {
-        let mut engine = FilterEngine::new(standard_catalog(comma_filters::ALL_FILTERS));
-        engine.register(WildKey::ANY, "tcp", vec![]).unwrap();
-        engine.register(WildKey::ANY, "snoop", vec![]).unwrap();
-        engine
-            .register(WildKey::ANY, "wsize", vec!["scale".into(), "90".into()])
-            .unwrap();
-        engine.register(WildKey::ANY, "tcp", vec![]).unwrap();
-        let mut rng = SmallRng::seed_from_u64(4);
-        engine.process(SimTime::ZERO, &mut rng, &NullMetrics, data_packet(1400));
-        let mut input = Vec::with_capacity(depth);
-        let mut out = Vec::with_capacity(depth * 2);
-        let mut dropped = Vec::new();
-        let mut seq = 0u32;
-        g.bench(format!("engine_process_batched_{depth}"), move || {
-            for _ in 0..depth {
-                seq = seq.wrapping_add(1400);
-                let mut pkt = data_packet(1400);
-                if let comma_netsim::packet::IpPayload::Tcp(seg) = &mut pkt.body {
-                    seg.seq = seq;
-                }
-                input.push(pkt);
-            }
-            engine.process_batch(
-                SimTime::ZERO,
-                &mut rng,
-                &NullMetrics,
-                &mut input,
-                &mut out,
-                &mut dropped,
-            );
-            let n = out.len();
-            out.clear();
-            dropped.clear();
-            n
-        });
-    }
     g.finish();
 }
 

@@ -36,7 +36,7 @@ use comma_tcp::host::{AppId, Host};
 use comma_tcp::TcpConfig;
 
 use crate::metrics::HubMetrics;
-use crate::topology::{TRANSFORMING, TTSF_KINDS};
+use crate::topology::TRANSFORMING;
 
 /// Environment variable selecting the default worker count for
 /// [`TopologyBuilder::build`] when [`TopologyBuilder::workers`] was not
@@ -189,7 +189,6 @@ pub struct TopologyBuilder {
     single: bool,
     backbone_shards: usize,
     lookahead: Option<SimDuration>,
-    coalesce: bool,
     record_series: bool,
 }
 
@@ -204,7 +203,6 @@ impl TopologyBuilder {
             single: false,
             backbone_shards: 1,
             lookahead: None,
-            coalesce: false,
             record_series: true,
         }
     }
@@ -271,15 +269,6 @@ impl TopologyBuilder {
     /// harness would (correctly) flag.
     pub fn record_series(mut self, on: bool) -> Self {
         self.record_series = on;
-        self
-    }
-
-    /// Enables same-instant delivery coalescing on every shard.
-    /// Coalescing is shard-local by construction: a cross-shard packet
-    /// re-enters the destination shard's event queue and can only
-    /// coalesce there, so this stays deterministic across worker counts.
-    pub fn coalesce_delivery(mut self, on: bool) -> Self {
-        self.coalesce = on;
         self
     }
 
@@ -356,7 +345,6 @@ impl TopologyBuilder {
                 runner,
                 handles,
                 cell_names,
-                self.coalesce,
                 fault_reorders,
                 self.record_series,
             ))
@@ -446,7 +434,6 @@ impl TopologyBuilder {
                 runner,
                 handles,
                 cell_names,
-                self.coalesce,
                 fault_reorders,
                 self.record_series,
             ))
@@ -458,13 +445,9 @@ fn finish(
     mut runner: ShardedSimulator,
     cells: Vec<CellHandle>,
     names: Vec<String>,
-    coalesce: bool,
     fault_reorders: bool,
     record_series: bool,
 ) -> ShardedWorld {
-    if coalesce {
-        runner.set_coalesce_delivery(true);
-    }
     if !record_series {
         runner.set_record_series(false);
     }
@@ -803,11 +786,6 @@ impl ShardedWorld {
         self.runner.merged_trace_digest()
     }
 
-    /// Enables shard-local delivery coalescing everywhere.
-    pub fn set_coalesce_delivery(&mut self, on: bool) {
-        self.runner.set_coalesce_delivery(on);
-    }
-
     /// Schedules a wireless up/down change for one cell at `t`
     /// (disconnection scenarios). `t` must be at or after the current
     /// time.
@@ -909,17 +887,12 @@ impl ShardedWorld {
                         .iter()
                         .map(|r| r.filter.clone())
                         .collect();
-                    let mut errs = Vec::new();
-                    for kind in TTSF_KINDS {
-                        errs.extend(
-                            p.engine
-                                .instances_as::<Ttsf>(kind)
-                                .iter()
-                                .filter_map(|t| t.map())
-                                .filter_map(|m| m.check_invariants().err())
-                                .map(|e| format!("{label}: {e}")),
-                        );
-                    }
+                    let errs: Vec<String> = p
+                        .engine
+                        .instances_of::<Ttsf>()
+                        .filter_map(|(_, t)| t.map()?.check_invariants().err())
+                        .map(|e| format!("{label}: {e}"))
+                        .collect();
                     (kinds, errs)
                 })
             });

@@ -44,11 +44,6 @@ pub(crate) const TRANSFORMING: &[&str] = &[
     "hdiscard",
 ];
 
-/// Filter kinds backed by a TTSF whose edit map must stay structurally
-/// sound (swept by the oracle finalizers).
-pub(crate) const TTSF_KINDS: &[&str] =
-    &["ttsf", "compress", "decompress", "removal", "translate"];
-
 /// Builder for the standard topology.
 pub struct CommaBuilder {
     seed: u64,
@@ -445,24 +440,16 @@ impl CommaWorld {
         oracle.set_strict(!transformed);
 
         // TTSF edit maps must stay structurally sound on every proxy —
-        // sweep every TTSF-backed registration kind, not just the
-        // identity "ttsf" service.
+        // sweep every TTSF-backed instance, whatever service it runs as.
         let mut editmap_errors: Vec<String> = Vec::new();
         let mut sweep = |sim: &mut Simulator, node: NodeId, name: &str| {
             let label = name.to_string();
             let errs: Vec<String> = sim.with_node::<ServiceProxy, _>(node, |sp| {
-                let mut errs = Vec::new();
-                for kind in TTSF_KINDS {
-                    errs.extend(
-                        sp.engine
-                            .instances_as::<Ttsf>(kind)
-                            .iter()
-                            .filter_map(|t| t.map())
-                            .filter_map(|m| m.check_invariants().err())
-                            .map(|e| format!("{label}: {e}")),
-                    );
-                }
-                errs
+                sp.engine
+                    .instances_of::<Ttsf>()
+                    .filter_map(|(_, t)| t.map()?.check_invariants().err())
+                    .map(|e| format!("{label}: {e}"))
+                    .collect()
             });
             editmap_errors.extend(errs);
         };

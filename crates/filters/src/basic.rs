@@ -5,7 +5,6 @@ use std::any::Any;
 
 use comma_netsim::packet::Packet;
 use comma_netsim::wire;
-use comma_proxy::batch::PacketBatch;
 use comma_proxy::filter::{Capabilities, Filter, FilterCtx, Priority, Verdict};
 use comma_proxy::key::{StreamKey, WildKey};
 use comma_rt::Rng;
@@ -109,19 +108,6 @@ impl Filter for TcpHousekeeping {
         let down = Some(key) == self.key;
         self.check(ctx, down, pkt);
         Verdict::Continue
-    }
-
-    fn on_out_batch(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey, batch: &mut PacketBatch) {
-        // Every packet in a run shares the key, so the direction resolves
-        // once per batch instead of once per packet.
-        let down = Some(key) == self.key;
-        for i in 0..batch.len() {
-            if batch.is_dropped(i) {
-                continue;
-            }
-            ctx.set_batch_cursor(i as u32);
-            self.check(ctx, down, batch.pkt(i));
-        }
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
@@ -263,22 +249,6 @@ impl Filter for RandomDrop {
         } else {
             self.passed += 1;
             Verdict::Continue
-        }
-    }
-
-    fn on_out_batch(&mut self, ctx: &mut FilterCtx<'_>, _key: StreamKey, batch: &mut PacketBatch) {
-        // One RNG draw per live slot, in arrival order — identical draw
-        // sequence to the scalar path.
-        for i in 0..batch.len() {
-            if batch.is_dropped(i) {
-                continue;
-            }
-            if ctx.rng.gen_bool(self.rate) {
-                self.dropped += 1;
-                batch.request_drop(i);
-            } else {
-                self.passed += 1;
-            }
         }
     }
 

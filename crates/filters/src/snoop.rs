@@ -8,7 +8,6 @@ use std::collections::BTreeMap;
 
 use comma_netsim::packet::{Packet, TcpFlags};
 use comma_netsim::time::{SimDuration, SimTime};
-use comma_proxy::batch::PacketBatch;
 use comma_proxy::filter::{Capabilities, Filter, FilterCtx, Priority, Verdict};
 use comma_proxy::key::StreamKey;
 use comma_tcp::seq::seq_lt;
@@ -145,22 +144,6 @@ impl Filter for Snoop {
     fn on_out(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey, pkt: &mut Packet) -> Verdict {
         let down = Some(key) == self.down_key;
         self.handle(ctx, down, pkt)
-    }
-
-    fn on_out_batch(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey, batch: &mut PacketBatch) {
-        // One direction resolution per run; the per-packet cache logic is
-        // unchanged, so the draw of cached/suppressed packets matches the
-        // scalar path exactly.
-        let down = Some(key) == self.down_key;
-        for i in 0..batch.len() {
-            if batch.is_dropped(i) {
-                continue;
-            }
-            ctx.set_batch_cursor(i as u32);
-            if self.handle(ctx, down, batch.pkt(i)) == Verdict::Drop {
-                batch.request_drop(i);
-            }
-        }
     }
 
     fn on_timer(&mut self, ctx: &mut FilterCtx<'_>, token: u64) {

@@ -23,7 +23,6 @@ use std::any::Any;
 use comma_obs::fields;
 use comma_rt::Bytes;
 use comma_netsim::packet::{Packet, TcpFlags};
-use comma_proxy::batch::PacketBatch;
 use comma_proxy::filter::{Capabilities, Filter, FilterCtx, Priority, Verdict};
 use comma_proxy::key::StreamKey;
 use comma_tcp::seq::{seq_diff, seq_le, seq_lt};
@@ -312,23 +311,6 @@ impl Filter for Ttsf {
         // transparency mechanism is holding for this stream.
         self.report_occupancy(ctx);
         v
-    }
-
-    fn on_out_batch(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey, batch: &mut PacketBatch) {
-        // Direction resolves once per run, and the edit-map occupancy
-        // gauges sample once at the end of the run rather than per packet
-        // (at run length 1 that is exactly the scalar cadence).
-        let down = Some(key) == self.down_key;
-        for i in 0..batch.len() {
-            if batch.is_dropped(i) {
-                continue;
-            }
-            ctx.set_batch_cursor(i as u32);
-            if self.serve(ctx, down, batch.pkt_mut(i)) == Verdict::Drop {
-                batch.request_drop(i);
-            }
-        }
-        self.report_occupancy(ctx);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {

@@ -10,10 +10,6 @@ use comma_netsim::time::SimDuration;
 use comma_proxy::ServiceProxy;
 use comma_tcp::apps::{BulkSender, Sink};
 
-/// Filter kinds backed by a TTSF whose edit map is swept at every step
-/// (mirrors the oracle finalizer's list in `comma::topology`).
-pub const TTSF_KINDS: &[&str] = &["ttsf", "compress", "decompress", "removal", "translate"];
-
 /// Scenario and search parameters.
 ///
 /// The defaults are the *shipped* configuration: the exploration the CI
@@ -163,19 +159,16 @@ pub fn build_scenario(cfg: &McConfig) -> McWorld {
 /// call this after every step.
 pub fn arm_mutations(sim: &mut Simulator, proxy: NodeId) {
     sim.with_node::<ServiceProxy, _>(proxy, |sp| {
-        let mut translated = 0;
-        for kind in TTSF_KINDS {
-            for t in sp.engine.instances_as::<Ttsf>(kind) {
-                translated += t.stats.acks_translated;
-            }
-        }
+        let translated: u64 = sp
+            .engine
+            .instances_of::<Ttsf>()
+            .map(|(_, t)| t.stats.acks_translated)
+            .sum();
         if translated == 0 {
             return;
         }
-        for kind in TTSF_KINDS {
-            for t in sp.engine.instances_as::<Ttsf>(kind) {
-                t.mutate_skip_ack_translation = true;
-            }
+        for (_, t) in sp.engine.instances_of::<Ttsf>() {
+            t.mutate_skip_ack_translation = true;
         }
     });
 }
@@ -207,16 +200,10 @@ pub fn check_invariants(sim: &mut Simulator, proxy: NodeId) -> Option<String> {
         }
     }
     sim.with_node::<ServiceProxy, _>(proxy, |sp| {
-        for kind in TTSF_KINDS {
-            for t in sp.engine.instances_as::<Ttsf>(kind) {
-                if let Some(map) = t.map() {
-                    if let Err(e) = map.check_invariants() {
-                        return Some(format!("editmap[{kind}]: {e}"));
-                    }
-                }
-            }
-        }
-        None
+        sp.engine.instances_of::<Ttsf>().find_map(|(kind, t)| {
+            let e = t.map()?.check_invariants().err()?;
+            Some(format!("editmap[{kind}]: {e}"))
+        })
     })
 }
 
@@ -243,6 +230,58 @@ mod tests {
         }
         let snap = world.sim.snapshot().expect("scenario must be snapshot-capable");
         assert_eq!(snap.state_hash(), world.sim.state_hash());
+    }
+
+    /// The per-step sweeps find TTSFs by type, not by catalog name: a
+    /// compressor loaded under a name no built-in service uses still has
+    /// its edit map swept and gets the mutation armed.
+    #[test]
+    fn sweeps_visit_a_ttsf_under_any_catalog_name() {
+        use comma::topology::addrs;
+        use comma_filters::catalog::DEFAULT_BLOCK;
+        use comma_filters::codec::Method;
+        use comma_filters::transform::Compressor;
+        use comma_netsim::sim::McAction;
+        use comma_netsim::time::SimTime;
+
+        let cfg = McConfig {
+            service_cmds: Vec::new(),
+            ..McConfig::default()
+        };
+        let mut world = build_scenario(&cfg);
+        world.sim.with_node::<ServiceProxy, _>(world.proxy, |sp| {
+            sp.engine.catalog.register_loaded(
+                "squeeze",
+                Box::new(|_| {
+                    let lzss = Compressor::new(Method::Lzss, DEFAULT_BLOCK);
+                    Ok(Box::new(Ttsf::new(Box::new(lzss))))
+                }),
+            );
+            for dst in [addrs::MOBILE, addrs::WIRED] {
+                sp.exec(SimTime::ZERO, &format!("add squeeze 0.0.0.0 0 {dst} 0"));
+            }
+        });
+        for _ in 0..10_000 {
+            arm_mutations(&mut world.sim, world.proxy);
+            assert_eq!(check_invariants(&mut world.sim, world.proxy), None);
+            let seen = world.sim.with_node::<ServiceProxy, _>(world.proxy, |sp| {
+                sp.engine
+                    .instances_of::<Ttsf>()
+                    .map(|(kind, t)| {
+                        let records = t.map().map_or(0, |m| m.records().count());
+                        (kind.to_string(), records, t.mutate_skip_ack_translation)
+                    })
+                    .collect::<Vec<_>>()
+            });
+            if seen.iter().any(|&(_, _, armed)| armed) {
+                assert!(seen.iter().all(|(kind, _, armed)| kind == "squeeze" && *armed));
+                assert!(seen.iter().any(|&(_, records, _)| records > 0), "{seen:?}");
+                return;
+            }
+            assert!(!world.sim.mc_options().is_empty(), "run ended unarmed: {seen:?}");
+            world.sim.mc_step(0, McAction::Deliver).unwrap();
+        }
+        panic!("no ACK was translated within 10,000 steps");
     }
 
     #[test]

@@ -109,18 +109,14 @@ pub fn forward_step(
     pkt: &mut Packet,
 ) -> Option<IfaceId> {
     if pkt.ip.ttl <= 1 {
-        let summary = pkt.summary();
-        ctx.trace
-            .drop_pkt(ctx.now, ctx.node, DropReason::TtlExpired, || summary);
+        ctx.trace.drop_pkt(ctx.now, ctx.node, DropReason::TtlExpired, || pkt.summary());
         return None;
     }
     pkt.ip.ttl -= 1;
     match table.lookup(pkt.ip.dst) {
         Some(iface) => Some(iface),
         None => {
-            let summary = pkt.summary();
-            ctx.trace
-                .drop_pkt(ctx.now, ctx.node, DropReason::NoRoute, || summary);
+            ctx.trace.drop_pkt(ctx.now, ctx.node, DropReason::NoRoute, || pkt.summary());
             None
         }
     }

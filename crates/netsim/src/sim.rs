@@ -185,9 +185,6 @@ pub struct Simulator {
     ch_scopes: Vec<String>,
     faults: Vec<Option<FaultState>>,
     observer: Option<Box<dyn PacketObserver>>,
-    coalesce_delivery: bool,
-    /// Reusable delivery-batch buffer (allocation-free steady state).
-    delivery_buf: Vec<Packet>,
     /// Reusable dispatch effect buffers, threaded through every
     /// [`NodeCtx`] so node callbacks append into retained capacity instead
     /// of allocating a fresh pair of vectors per dispatch.
@@ -218,8 +215,6 @@ impl Simulator {
             ch_scopes: Vec::new(),
             faults: Vec::new(),
             observer: None,
-            coalesce_delivery: false,
-            delivery_buf: Vec::new(),
             fx_outputs: Vec::new(),
             fx_timers: Vec::new(),
             outbox: Vec::new(),
@@ -240,17 +235,6 @@ impl Simulator {
         for ch in &mut self.channels {
             ch.series.set_enabled(on);
         }
-    }
-
-    /// Enables (or disables) delivery coalescing: consecutive `Deliver`
-    /// events at the same instant on the same channel are dispatched to
-    /// the destination node as one [`Node::on_packets`] call instead of
-    /// one `on_packet` per event. Off by default: batching preserves
-    /// delivered traffic and per-packet accounting, but it reorders trace
-    /// lines (all `rx` records precede the node's reactions) relative to
-    /// the scalar schedule, so golden-trace scenarios leave it off.
-    pub fn set_coalesce_delivery(&mut self, on: bool) {
-        self.coalesce_delivery = on;
     }
 
     /// Installs a fault configuration on one directed channel, replacing any
@@ -650,12 +634,6 @@ impl Simulator {
         self.ensure_started();
         while let Some((time, event)) = self.sched.pop_due(horizon) {
             self.now = time;
-            if self.coalesce_delivery {
-                if let Event::Deliver { channel, pkt } = event {
-                    self.deliver_coalesced(channel, pkt);
-                    continue;
-                }
-            }
             self.handle(event);
         }
         self.now = self.now.max(horizon);
@@ -811,9 +789,7 @@ impl Simulator {
 
     fn transmit(&mut self, node: NodeId, iface: IfaceId, pkt: Packet) {
         let Some(&ch_id) = self.node_meta[node.0].ifaces.get(iface.0) else {
-            let summary = pkt.summary();
-            self.trace
-                .drop_pkt(self.now, node, DropReason::NoRoute, || summary);
+            self.trace.drop_pkt(self.now, node, DropReason::NoRoute, || pkt.summary());
             if self.obs.is_enabled() {
                 self.obs
                     .inc(&self.node_meta[node.0].name, "link.drop.no_route");
@@ -833,9 +809,7 @@ impl Simulator {
         if !ch.params.up {
             ch.stats.down_drops += 1;
             let len = pkt.wire_len();
-            let summary = pkt.summary();
-            self.trace
-                .drop_pkt(self.now, node, DropReason::LinkDown, || summary);
+            self.trace.drop_pkt(self.now, node, DropReason::LinkDown, || pkt.summary());
             self.obs_link_drop(ch_id, "link.drop.down", "down", len);
             return;
         }
@@ -846,9 +820,7 @@ impl Simulator {
                     self.obs.inc(&self.ch_scopes[ch_id.0], "link.enqueued");
                 }
             } else {
-                let summary = pkt.summary();
-                self.trace
-                    .drop_pkt(self.now, node, DropReason::QueueFull, || summary);
+                self.trace.drop_pkt(self.now, node, DropReason::QueueFull, || pkt.summary());
                 self.obs_link_drop(ch_id, "link.drop.queue_full", "queue_full", len);
             }
             return;
@@ -894,15 +866,11 @@ impl Simulator {
         };
         if down {
             self.channels[ch_id.0].stats.down_drops += 1;
-            let summary = pkt.summary();
-            self.trace
-                .drop_pkt(self.now, src_node, DropReason::LinkDown, || summary);
+            self.trace.drop_pkt(self.now, src_node, DropReason::LinkDown, || pkt.summary());
             self.obs_link_drop(ch_id, "link.drop.down", "down", len);
         } else if lost {
             self.channels[ch_id.0].stats.loss_drops += 1;
-            let summary = pkt.summary();
-            self.trace
-                .drop_pkt(self.now, src_node, DropReason::Loss, || summary);
+            self.trace.drop_pkt(self.now, src_node, DropReason::Loss, || pkt.summary());
             self.obs_link_drop(ch_id, "link.drop.loss", "loss", len);
         } else {
             let mut pkt = pkt;
@@ -928,9 +896,7 @@ impl Simulator {
                 }
             }
             if !deliver {
-                let summary = pkt.summary();
-                self.trace
-                    .drop_pkt(self.now, src_node, DropReason::Corrupt, || summary);
+                self.trace.drop_pkt(self.now, src_node, DropReason::Corrupt, || pkt.summary());
                 self.obs_link_drop(ch_id, "link.drop.corrupt", "corrupt", len);
             } else if let Some(boundary) = self.channels[ch_id.0].remote {
                 // Boundary egress: the packet survived this side's link
@@ -969,59 +935,6 @@ impl Simulator {
         }
     }
 
-    /// Coalesced delivery: `first` was just popped; greedily pop every
-    /// immediately following `Deliver` at the same instant on the same
-    /// channel and hand the run to the node as one batch.
-    fn deliver_coalesced(&mut self, ch_id: ChannelId, first: Packet) {
-        self.events_processed += 1;
-        let mut batch = std::mem::take(&mut self.delivery_buf);
-        batch.push(first);
-        loop {
-            match self.sched.peek_due(self.now) {
-                Some((t, Event::Deliver { channel, .. })) if t == self.now && *channel == ch_id => {}
-                _ => break,
-            }
-            let Some((_, Event::Deliver { pkt, .. })) = self.sched.pop_due(self.now) else {
-                unreachable!("peeked a due Deliver event")
-            };
-            self.events_processed += 1;
-            batch.push(pkt);
-        }
-        let (dst_node, dst_iface, up) = {
-            let ch = &self.channels[ch_id.0];
-            (ch.dst_node, ch.dst_iface, ch.params.up)
-        };
-        if !up {
-            let src = self.channels[ch_id.0].src_node;
-            for pkt in batch.drain(..) {
-                self.channels[ch_id.0].stats.down_drops += 1;
-                let len = pkt.wire_len();
-                let summary = pkt.summary();
-                self.trace
-                    .drop_pkt(self.now, src, DropReason::LinkDown, || summary);
-                self.obs_link_drop(ch_id, "link.drop.down", "down", len);
-            }
-        } else {
-            let now = self.now;
-            for pkt in &batch {
-                let len = pkt.wire_len();
-                self.channels[ch_id.0].record_delivery(now, len);
-                if self.obs.is_enabled() {
-                    let scope = &self.ch_scopes[ch_id.0];
-                    self.obs.inc(scope, "link.delivered_pkts");
-                    self.obs.add(scope, "link.delivered_bytes", len as u64);
-                }
-                self.trace.rx(now, dst_node, || pkt.summary());
-                if let Some(obs) = self.observer.as_mut() {
-                    obs.on_deliver(now, dst_node, pkt);
-                }
-            }
-            self.dispatch(dst_node, |n, ctx| n.on_packets(ctx, dst_iface, &mut batch));
-        }
-        batch.clear();
-        self.delivery_buf = batch;
-    }
-
     fn deliver(&mut self, ch_id: ChannelId, pkt: Packet) {
         let (dst_node, dst_iface, up) = {
             let ch = &self.channels[ch_id.0];
@@ -1031,9 +944,7 @@ impl Simulator {
             let src = self.channels[ch_id.0].src_node;
             self.channels[ch_id.0].stats.down_drops += 1;
             let len = pkt.wire_len();
-            let summary = pkt.summary();
-            self.trace
-                .drop_pkt(self.now, src, DropReason::LinkDown, || summary);
+            self.trace.drop_pkt(self.now, src, DropReason::LinkDown, || pkt.summary());
             self.obs_link_drop(ch_id, "link.drop.down", "down", len);
             return;
         }
@@ -1106,8 +1017,6 @@ impl Simulator {
             ch_scopes: self.ch_scopes.clone(),
             faults: self.faults.clone(),
             observer,
-            coalesce_delivery: self.coalesce_delivery,
-            delivery_buf: Vec::new(),
             fx_outputs: Vec::new(),
             fx_timers: Vec::new(),
             outbox: self.outbox.clone(),
@@ -1233,9 +1142,7 @@ impl Simulator {
                 };
                 self.events_processed += 1;
                 let src = self.channels[channel.0].src_node;
-                let summary = pkt.summary();
-                self.trace
-                    .drop_pkt(self.now, src, DropReason::Loss, || summary);
+                self.trace.drop_pkt(self.now, src, DropReason::Loss, || pkt.summary());
             }
             McAction::Duplicate => {
                 let Event::Deliver { channel, pkt } = &event else {

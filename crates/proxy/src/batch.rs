@@ -1,19 +1,17 @@
-//! Per-flow packet batches: the unit the redesigned dispatch path hands
-//! to out-methods.
+//! The packet batch the engine hands to a filter's batch hooks.
 //!
-//! The engine coalesces contiguous same-flow packets into one
-//! [`PacketBatch`], resolves the flow and its member-filter queue once,
-//! and runs each filter across the whole run
-//! ([`crate::filter::Filter::on_out_batch`]). Filters mutate packets in
-//! place and *request* drops; the engine applies the requests after each
-//! filter so capability enforcement (Chapter 9) stays engine-side exactly
-//! as in the scalar path. The batch's backing storage lives in the
-//! engine's scratch arena and is recycled run to run, so steady state is
-//! allocation-free at batch granularity.
+//! [`crate::engine::FilterEngine::process`] puts each keyed packet in a
+//! one-packet [`PacketBatch`] and runs it through every filter's
+//! [`crate::filter::Filter::on_out_batch`], whose default calls
+//! [`crate::filter::Filter::on_out`]. Filters mutate packets in place and
+//! *request* drops; the engine applies the requests after each filter so
+//! capability enforcement (Chapter 9) stays engine-side. The batch's
+//! backing storage lives in the engine's scratch arena and is reused from
+//! packet to packet.
 
 use comma_netsim::packet::Packet;
 
-/// A contiguous run of same-flow packets moving through the out-pass.
+/// One stream's packets moving through the out-pass.
 #[derive(Default)]
 pub struct PacketBatch {
     pub(crate) pkts: Vec<Packet>,

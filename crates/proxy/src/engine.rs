@@ -259,9 +259,9 @@ pub struct EngineStats {
     pub modified: u64,
     /// Packets injected by filters.
     pub injected: u64,
-    /// Same-flow runs dispatched through the filter queues. A scalar
-    /// [`FilterEngine::process`] call counts as a depth-1 batch, so
-    /// `batch_pkts / batches` is the honest average batch depth.
+    /// Runs dispatched through the filter queues. Every keyed
+    /// [`FilterEngine::process`] call is one run of one packet, so
+    /// `batch_pkts / batches` (the average batch depth) is 1.
     pub batches: u64,
     /// Packets carried by those runs.
     pub batch_pkts: u64,
@@ -306,12 +306,12 @@ pub struct FilterEngine {
     /// wall-clock latency (`wall.`-prefixed, never exported).
     obs: Obs,
     /// Recycled dispatch storage (batch, snapshots, injection staging):
-    /// taken at the top of `process`/`process_batch` and restored on exit,
-    /// so steady state allocates nothing at batch granularity.
+    /// taken at the top of `process` and restored on exit, so their
+    /// capacity carries over from packet to packet.
     scratch: EngineScratch,
 }
 
-/// Recycled per-dispatch storage; see [`FilterEngine::process_batch`].
+/// Recycled per-dispatch storage; see [`FilterEngine::process`].
 #[derive(Default)]
 struct EngineScratch {
     batch: PacketBatch,
@@ -500,6 +500,17 @@ impl FilterEngine {
             .collect()
     }
 
+    /// Typed access to every live instance whose filter is a `T`, with the
+    /// catalog name it runs under, whatever that name is (invariant
+    /// sweeps). Wrapping filters that forward [`Filter::as_any`] are seen
+    /// through.
+    pub fn instances_of<T: 'static>(&mut self) -> impl Iterator<Item = (&str, &mut T)> + '_ {
+        self.instances.iter_mut().flatten().filter_map(|i| {
+            let filter = i.filter.as_any().downcast_mut::<T>()?;
+            Some((&*i.kind, filter))
+        })
+    }
+
     /// Typed access to the first live instance of a filter kind (tools).
     pub fn instance_as<T: 'static>(&mut self, kind: &str) -> Option<&mut T> {
         self.instances
@@ -518,11 +529,6 @@ impl FilterEngine {
     // The packet path.
     // ------------------------------------------------------------------
 
-    /// Longest same-flow run dispatched as one batch. Bounds snapshot and
-    /// flag storage and keeps teardown latency (a close observed mid-run
-    /// takes effect at run end) to a small constant.
-    pub const MAX_BATCH: usize = 64;
-
     /// Runs a packet through the filter queues. Returns the packets to
     /// forward: empty if dropped, the (possibly modified) packet plus any
     /// injected packets otherwise.
@@ -532,9 +538,8 @@ impl FilterEngine {
     /// interception point with the FA") services the inner stream and
     /// re-wraps the results in the original tunnel header.
     ///
-    /// This is the scalar entry point: it dispatches a depth-1 batch
-    /// through the same core as [`FilterEngine::process_batch`], so the
-    /// two paths cannot diverge.
+    /// This is the engine's only packet entry: each keyed packet goes
+    /// through the dispatch core as a one-packet [`PacketBatch`].
     pub fn process(
         &mut self,
         now: SimTime,
@@ -561,92 +566,16 @@ impl FilterEngine {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.batch.push(pkt);
         let mut out = Vec::new();
-        let mut dropped = Vec::new();
-        self.dispatch_run(now, rng, metrics, key, &mut scratch, &mut out, &mut dropped);
+        self.dispatch_run(now, rng, metrics, key, &mut scratch, &mut out);
         self.scratch = scratch;
         out
     }
 
-    /// Runs a sequence of packets through the filter queues, coalescing
-    /// contiguous same-flow packets into per-flow runs (capped at
-    /// [`FilterEngine::MAX_BATCH`]) so the flow lookup, the member-queue
-    /// resolution, and each filter's virtual dispatch are paid once per
-    /// run instead of once per packet.
-    ///
-    /// `input` is drained. Surviving and injected packets are appended to
-    /// `out` in the scalar emission order (each packet followed by the
-    /// injections it caused, runs in arrival order); input packets that
-    /// produced *no* output (dropped, nothing injected) are appended to
-    /// `dropped` so callers can trace them. Both buffers are appended to,
-    /// never cleared, and keep their capacity across calls.
-    pub fn process_batch(
-        &mut self,
-        now: SimTime,
-        rng: &mut SmallRng,
-        metrics: &dyn MetricsSource,
-        input: &mut Vec<Packet>,
-        out: &mut Vec<Packet>,
-        dropped: &mut Vec<Packet>,
-    ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut run_key: Option<StreamKey> = None;
-        for pkt in input.drain(..) {
-            if let IpPayload::Encap(_) = pkt.body {
-                // Tunneled traffic re-enters through the scalar path (the
-                // inner stream is serviced recursively); flush first so
-                // relative order holds, and hand the scratch back for the
-                // reentrant call.
-                if let Some(k) = run_key.take() {
-                    self.dispatch_run(now, rng, metrics, k, &mut scratch, out, dropped);
-                }
-                self.scratch = scratch;
-                let original = pkt.clone();
-                let outs = self.process(now, rng, metrics, pkt);
-                scratch = std::mem::take(&mut self.scratch);
-                if outs.is_empty() {
-                    dropped.push(original);
-                } else {
-                    out.extend(outs);
-                }
-                continue;
-            }
-            let Some(key) = StreamKey::of_packet(&pkt) else {
-                if let Some(k) = run_key.take() {
-                    self.dispatch_run(now, rng, metrics, k, &mut scratch, out, dropped);
-                }
-                self.totals.pkts += 1;
-                self.obs.inc("engine", "engine.pkts");
-                out.push(pkt);
-                continue;
-            };
-            if run_key.is_some_and(|k| k != key) || scratch.batch.len() >= Self::MAX_BATCH {
-                let k = run_key.take().expect("non-empty run has a key");
-                self.dispatch_run(now, rng, metrics, k, &mut scratch, out, dropped);
-            }
-            // Connection-lifecycle packets end the run: SYN may instantiate
-            // filters and FIN/RST may tear the stream down, and both must
-            // be visible to the very next packet's queue resolution, as in
-            // the scalar path.
-            let lifecycle = matches!(&pkt.body, IpPayload::Tcp(seg)
-                if seg.flags.syn() || seg.flags.fin() || seg.flags.rst());
-            run_key = Some(key);
-            scratch.batch.push(pkt);
-            if lifecycle {
-                let k = run_key.take().expect("just set");
-                self.dispatch_run(now, rng, metrics, k, &mut scratch, out, dropped);
-            }
-        }
-        if let Some(k) = run_key.take() {
-            self.dispatch_run(now, rng, metrics, k, &mut scratch, out, dropped);
-        }
-        self.scratch = scratch;
-    }
-
-    /// The dispatch core: runs one same-flow run through the in/out filter
-    /// queues. Byte-for-byte equivalent to the historical scalar loop at
-    /// depth 1; at depth n it amortizes the flow lookup and virtual
-    /// dispatch and enforces capabilities per packet exactly as before.
-    #[allow(clippy::too_many_arguments)]
+    /// The dispatch core: runs the packets in `scratch.batch` (one
+    /// stream's) through the in/out filter queues and appends the
+    /// survivors, each followed by the injections it caused, to `out`.
+    /// Filters see the run through their batch hooks; capabilities are
+    /// enforced per packet after each filter.
     fn dispatch_run(
         &mut self,
         now: SimTime,
@@ -655,7 +584,6 @@ impl FilterEngine {
         key: StreamKey,
         scratch: &mut EngineScratch,
         out: &mut Vec<Packet>,
-        dropped_out: &mut Vec<Packet>,
     ) {
         let n = scratch.batch.len();
         debug_assert!(n > 0, "dispatch_run needs a non-empty run");
@@ -853,20 +781,11 @@ impl FilterEngine {
         scratch.injections.sort_by_key(|&(i, _)| i);
         let mut inj = scratch.injections.drain(..).peekable();
         for (i, pkt) in scratch.batch.pkts.drain(..).enumerate() {
-            if scratch.batch.dropped[i] {
-                let mut had_injections = false;
-                while inj.peek().is_some_and(|&(j, _)| j as usize == i) {
-                    out.push(inj.next().expect("peeked").1);
-                    had_injections = true;
-                }
-                if !had_injections {
-                    dropped_out.push(pkt);
-                } // else: the packet itself is consumed, injections carry on.
-            } else {
+            if !scratch.batch.dropped[i] {
                 out.push(pkt);
-                while inj.peek().is_some_and(|&(j, _)| j as usize == i) {
-                    out.push(inj.next().expect("peeked").1);
-                }
+            }
+            while inj.peek().is_some_and(|&(j, _)| j as usize == i) {
+                out.push(inj.next().expect("peeked").1);
             }
         }
         debug_assert!(inj.next().is_none(), "injection tagged past the run");

@@ -154,18 +154,17 @@ impl<'a> FilterCtx<'a> {
     }
 
     /// Injects an additional packet onto the network (requires
-    /// [`Capabilities::INJECT`]). In batch methods the injection is
-    /// attributed to the packet at the current [batch
-    /// cursor](FilterCtx::set_batch_cursor) and emitted right after it.
+    /// [`Capabilities::INJECT`]). The injection is emitted right after
+    /// the packet at the current [batch cursor](FilterCtx::set_batch_cursor).
     pub fn inject(&mut self, pkt: Packet) {
         self.injections.push((self.batch_cursor, pkt));
     }
 
     /// Sets the batch cursor: the index of the packet the filter is
-    /// currently visiting inside a batch method. Native
-    /// [`Filter::on_in_batch`]/[`Filter::on_out_batch`] implementations
-    /// must keep it current while looping so injections land next to the
-    /// packet that caused them; outside batch dispatch it stays zero.
+    /// currently visiting inside a batch hook. The default
+    /// [`Filter::on_in_batch`]/[`Filter::on_out_batch`] keep it current so
+    /// injections land next to the packet that caused them; the engine
+    /// dispatches one packet per batch, so it is always zero there.
     pub fn set_batch_cursor(&mut self, idx: u32) {
         self.batch_cursor = idx;
     }
@@ -272,10 +271,11 @@ pub trait Filter {
         Verdict::Continue
     }
 
-    /// In method over a contiguous same-flow run of packets, in arrival
-    /// order. The default visits each packet through [`Filter::on_in`], so
-    /// scalar filters work unchanged; hot filters override it to amortize
-    /// per-packet work (direction checks, state lookups) across the run.
+    /// In method over a batch of one stream's packets, in arrival order.
+    /// The engine calls this hook, always with one packet; the default
+    /// visits it through [`Filter::on_in`]. Filters implement `on_in`;
+    /// the batch hook exists so wrapping filters (timing, tracing) can
+    /// forward one call.
     fn on_in_batch(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey, pkts: &[Packet]) {
         for (i, pkt) in pkts.iter().enumerate() {
             ctx.set_batch_cursor(i as u32);
@@ -283,12 +283,11 @@ pub trait Filter {
         }
     }
 
-    /// Out method over a contiguous same-flow run. The default visits each
-    /// live packet through [`Filter::on_out`], translating a
-    /// [`Verdict::Drop`] into [`PacketBatch::request_drop`]. Native
-    /// implementations must skip [`PacketBatch::is_dropped`] slots and keep
-    /// the [batch cursor](FilterCtx::set_batch_cursor) current while
-    /// looping.
+    /// Out method over a batch of one stream's packets. The engine calls
+    /// this hook, always with one packet; the default visits each live
+    /// packet through [`Filter::on_out`], translating a [`Verdict::Drop`]
+    /// into [`PacketBatch::request_drop`]. Filters implement `on_out`; the
+    /// batch hook exists so wrapping filters can forward one call.
     fn on_out_batch(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey, batch: &mut PacketBatch) {
         for i in 0..batch.len() {
             if batch.is_dropped(i) {

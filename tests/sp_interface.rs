@@ -181,3 +181,76 @@ fn unknown_library_files_fail_silently() {
     );
     assert_eq!(exec(&mut e, &mut rng, "report nonexistent"), "");
 }
+
+/// Rewrites the advertised window, then drops the packet: a drop line
+/// rendered after filtering would no longer match the packet as it arrived.
+struct ShrinkThenDrop;
+
+impl Filter for ShrinkThenDrop {
+    fn kind(&self) -> &'static str {
+        "shrinkdrop"
+    }
+    fn priority(&self) -> Priority {
+        Priority::Normal
+    }
+    fn capabilities(&self) -> Capabilities {
+        Capabilities::MODIFY_HEADERS.with(Capabilities::DROP)
+    }
+    fn on_out(&mut self, _ctx: &mut FilterCtx<'_>, _key: StreamKey, pkt: &mut Packet) -> Verdict {
+        if let comma_netsim::packet::IpPayload::Tcp(seg) = &mut pkt.body {
+            seg.window = 0;
+        }
+        Verdict::Drop
+    }
+    fn as_any(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+#[test]
+fn proxy_filter_drop_is_counted_and_traced_as_it_arrived() {
+    use comma_netsim::node::{IfaceId, Node, NodeCtx};
+    use comma_netsim::routing::RoutingTable;
+    use comma_netsim::trace::{DropReason, Trace, TraceEvent};
+
+    for capture in [false, true] {
+        let mut e = engine();
+        e.catalog
+            .register_loaded("shrinkdrop", Box::new(|_| Ok(Box::new(ShrinkThenDrop))));
+        e.register(WildKey::ANY, "shrinkdrop", vec![]).unwrap();
+        let mut sp = ServiceProxy::new("sp", vec![], RoutingTable::new(), e, 1);
+        let mut pkt = stream_packet(7, 1169, 0);
+        if let comma_netsim::packet::IpPayload::Tcp(seg) = &mut pkt.body {
+            seg.window = 4096;
+        }
+        let arriving = pkt.summary();
+        let mut rng = SmallRng::seed_from_u64(56);
+        let mut trace = Trace::new();
+        trace.set_capture(capture);
+        let mut ctx = NodeCtx::new(SimTime::ZERO, NodeId(0), 1, &mut rng, &mut trace);
+        sp.on_packet(&mut ctx, IfaceId(0), pkt);
+        drop(ctx);
+
+        assert_eq!(sp.filtered_out, 1, "capture={capture}");
+        assert_eq!(sp.forwarded, 0, "capture={capture}");
+        assert_eq!(trace.counters.drops, 1, "capture={capture}");
+        let lines: Vec<&str> = trace
+            .entries()
+            .iter()
+            .filter_map(|entry| match &entry.event {
+                TraceEvent::Drop {
+                    reason: DropReason::Filter,
+                    summary,
+                    ..
+                } => Some(summary.as_str()),
+                _ => None,
+            })
+            .collect();
+        if capture {
+            assert!(arriving.contains("win=4096"), "{arriving}");
+            assert_eq!(lines, [arriving.as_str()]);
+        } else {
+            assert!(lines.is_empty(), "{lines:?}");
+        }
+    }
+}
