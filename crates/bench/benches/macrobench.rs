@@ -4,7 +4,8 @@
 //! TCP transfer through a 4-filter proxy chain, the many-flows scale
 //! workload (N ∈ {16, 64, 256} concurrent transfers through a filtered
 //! proxy over a lossy wireless link), a direct filter-engine dispatch
-//! loop, and the experiment suite (serial vs parallel), then writes:
+//! loop, the experiment suite (serial vs parallel), and the shipped
+//! model-checker exploration, then writes:
 //!
 //! - `BENCH_macro.json` (repo root) — the latest snapshot. Headlines:
 //!   `events_per_sec` (median scheduler throughput on the event-dominated
@@ -12,32 +13,38 @@
 //!   `engine_ns_per_pkt`, the per-N `scale` block, the `metro` block
 //!   (foreground transfers over a fluid background population, plus a
 //!   doubled-population run proving sim_events track epochs rather than
-//!   background packet volume), `fluid_solver_ns`, and `exps_wall_ms`.
+//!   background packet volume), `fluid_solver_ns`, `exps_wall_ms`, and
+//!   the `mc` coverage block.
 //!   The transfer-derived rate is reported as `transfer_events_per_sec`;
 //!   it is *not* the scheduler headline because timer cancellation
 //!   removes cheap events from both numerator and wall time, so it can
 //!   move either way while real throughput improves.
 //! - `BENCH.json` (repo root) — the append-only trajectory array.
 //!
+//! Both files are built as `comma_rt::json::Json` values and re-parsed
+//! after writing. The snapshot must then pass every gate in
+//! `comma_bench::gate`; any failure is printed and the bench exits
+//! nonzero, as it does on a `BENCH.json` that does not parse.
+//!
 //! Run via `cargo bench -p comma-bench --bench macrobench`; set
 //! `COMMA_BENCH_FAST=1` for the CI smoke configuration (smaller packet
 //! counts and transfers, same report shape).
 
+use std::path::Path;
 use std::time::Instant;
 
 use comma::topology::{addrs, CommaBuilder};
-use comma_bench::exps;
 use comma_bench::scale::{
-    event_core_alloc_probe_events, run_event_core, run_many_flows, run_many_flows_churn,
-    run_metro, run_sharded_flows, shard_worker_count, sharded_alloc_probe_windows, ScaleResult,
+    event_core_alloc_probe, run_event_core, run_many_flows, run_many_flows_churn,
+    run_metro, run_sharded_flows, shard_worker_count, sharded_alloc_probe,
 };
-use comma_filters::standard_catalog;
+use comma_bench::{chain_engine, chain_packet, exps, gate};
+use comma_mc::{explore, McConfig};
 use comma_netsim::fluid::max_min_rates;
-use comma_netsim::packet::{Packet, TcpFlags, TcpSegment};
 use comma_netsim::time::SimTime;
-use comma_proxy::engine::FilterEngine;
 use comma_proxy::filter::NullMetrics;
-use comma_proxy::{ServiceProxy, WildKey};
+use comma_proxy::ServiceProxy;
+use comma_rt::json::Json;
 use comma_rt::{Bytes, Rng, SeedableRng, SmallRng};
 use comma_tcp::apps::{BulkSender, Sink};
 
@@ -48,42 +55,28 @@ fn fast_mode() -> bool {
 /// Direct dispatch cost: ns per packet through a 4-filter chain
 /// (tcp → snoop → wsize → tcp), no simulator in the loop.
 fn engine_ns_per_pkt(pkts: u64) -> f64 {
-    let mut engine = FilterEngine::new(standard_catalog(comma_filters::ALL_FILTERS));
-    engine.register(WildKey::ANY, "tcp", vec![]).unwrap();
-    engine.register(WildKey::ANY, "snoop", vec![]).unwrap();
-    engine
-        .register(
-            WildKey::ANY,
-            "wsize",
-            vec!["scale".into(), "90".into()],
-        )
-        .unwrap();
-    engine.register(WildKey::ANY, "tcp", vec![]).unwrap();
-
+    let mut engine = chain_engine();
     let payload = Bytes::from(vec![0xabu8; 1400]);
-    let src = "11.11.10.99".parse().unwrap();
-    let dst = "11.11.10.10".parse().unwrap();
     let mut rng = SmallRng::seed_from_u64(1);
 
     // Prime the flow (queue expansion happens on the first packet).
-    let mut seg = TcpSegment::new(7, 1169, 0, 0, TcpFlags::ACK);
-    seg.payload = payload.clone();
-    engine.process(SimTime::ZERO, &mut rng, &NullMetrics, Packet::tcp(src, dst, seg));
+    let mut out = Vec::new();
+    engine.process(SimTime::ZERO, &mut rng, &NullMetrics, chain_packet(0, payload.clone()), &mut out);
 
     let t = Instant::now();
     for i in 0..pkts {
-        let mut seg = TcpSegment::new(7, 1169, (i as u32).wrapping_mul(1400), 0, TcpFlags::ACK);
-        seg.payload = payload.clone();
-        let out = engine.process(SimTime::ZERO, &mut rng, &NullMetrics, Packet::tcp(src, dst, seg));
-        std::hint::black_box(out);
+        let pkt = chain_packet((i as u32).wrapping_mul(1400), payload.clone());
+        out.clear();
+        engine.process(SimTime::ZERO, &mut rng, &NullMetrics, pkt, &mut out);
+        std::hint::black_box(&out);
     }
     t.elapsed().as_nanos() as f64 / pkts as f64
 }
 
 /// End-to-end transfer through the standard topology with the same
 /// 4-filter chain installed on the Service Proxy. Returns
-/// `(pkts_per_sec, events_per_sec, engine_pkts, sim_events, bytes_received)`.
-fn end_to_end(bytes: u64) -> (f64, f64, u64, u64, u64) {
+/// `(pkts_per_sec, events_per_sec, engine_pkts, sim_events)`.
+fn end_to_end(bytes: u64) -> (f64, f64, u64, u64) {
     let mut world = CommaBuilder::new(7).eem(false).build(
         vec![Box::new(BulkSender::new((addrs::MOBILE, 9000), bytes as usize))],
         vec![Box::new(Sink::new(9000))],
@@ -104,27 +97,16 @@ fn end_to_end(bytes: u64) -> (f64, f64, u64, u64, u64) {
         .sim
         .with_node::<ServiceProxy, _>(world.proxy, |sp| sp.engine.totals.pkts);
     let events = world.sim.events_processed();
-    (
-        pkts as f64 / wall,
-        events as f64 / wall,
-        pkts,
-        events,
-        received,
-    )
+    (pkts as f64 / wall, events as f64 / wall, pkts, events)
 }
 
 /// Median of the event-dominated workload's `events_per_sec` over
 /// `runs` repetitions (the scheduler-throughput headline).
-fn event_core_median(nodes: usize, horizon_ms: u64, runs: usize) -> (f64, u64) {
-    let mut rates: Vec<f64> = Vec::with_capacity(runs);
-    let mut events = 0u64;
-    for _ in 0..runs {
-        let r = run_event_core(nodes, horizon_ms, 9);
-        events = r.sim_events;
-        rates.push(r.events_per_sec);
-    }
+fn event_core_median(nodes: usize, horizon_ms: u64, runs: usize) -> f64 {
+    let mut rates: Vec<f64> =
+        (0..runs).map(|_| run_event_core(nodes, horizon_ms, 9).events_per_sec).collect();
     rates.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (rates[rates.len() / 2], events)
+    rates[rates.len() / 2]
 }
 
 /// Experiment-suite wall clock, serial vs parallel; asserts the rendered
@@ -167,21 +149,36 @@ fn fluid_solver_ns(flows: usize) -> f64 {
     t.elapsed().as_nanos() as f64 / iters as f64
 }
 
-fn append_trajectory(root: &std::path::Path, entry: &str) {
-    let path = root.join("BENCH.json");
-    let existing = std::fs::read_to_string(&path).unwrap_or_else(|_| "[]".to_string());
-    let trimmed = existing.trim();
-    let body = trimmed
-        .strip_prefix('[')
-        .and_then(|s| s.strip_suffix(']'))
-        .unwrap_or("")
-        .trim();
-    let joined = if body.is_empty() {
-        format!("[\n{entry}\n]\n")
-    } else {
-        format!("[\n{body},\n{entry}\n]\n")
-    };
-    std::fs::write(&path, joined).expect("write BENCH.json");
+/// `x` rounded to `places` decimals, so the records stay readable.
+fn round(x: f64, places: i32) -> f64 {
+    let p = 10f64.powi(places);
+    (x * p).round() / p
+}
+
+/// Reports a failure on `path` and exits nonzero.
+fn fail(path: &Path, why: impl std::fmt::Display) -> ! {
+    eprintln!("macrobench FAILED: {}: {why}", path.display());
+    std::process::exit(1);
+}
+
+fn read_json(path: &Path) -> Json {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(path, e));
+    Json::parse(&text).unwrap_or_else(|e| fail(path, e))
+}
+
+fn write_json(path: &Path, v: &Json) {
+    std::fs::write(path, v.pretty() + "\n").unwrap_or_else(|e| fail(path, e));
+}
+
+/// Appends `entry` to the trajectory array at `path` and returns the new
+/// history. A missing file starts a new array; an unreadable or malformed
+/// one fails the bench instead of losing the history.
+fn append_trajectory(path: &Path, entry: Json) -> Json {
+    let mut history = if path.exists() { read_json(path) } else { Json::Array(Vec::new()) };
+    let Json::Array(entries) = &mut history else { fail(path, "not a JSON array") };
+    entries.push(entry);
+    write_json(path, &history);
+    history
 }
 
 fn main() {
@@ -195,55 +192,25 @@ fn main() {
         "macrobench: event core ({core_nodes} nodes, {core_horizon_ms} ms, \
          median of {core_runs})..."
     );
-    let (events_per_sec, core_events) = event_core_median(core_nodes, core_horizon_ms, core_runs);
-    eprintln!("macrobench:   events_per_sec = {events_per_sec:.0} ({core_events} events/run)");
+    let events_per_sec = event_core_median(core_nodes, core_horizon_ms, core_runs);
 
     eprintln!("macrobench: engine dispatch ({engine_pkts} pkts, 4-filter chain)...");
     let ns_per_pkt = engine_ns_per_pkt(engine_pkts);
-    eprintln!("macrobench:   engine_ns_per_pkt = {ns_per_pkt:.1}");
 
     eprintln!("macrobench: end-to-end transfer ({transfer_bytes} B)...");
-    let (pkts_per_sec, transfer_events_per_sec, pkts, events, received) =
-        end_to_end(transfer_bytes);
-    eprintln!(
-        "macrobench:   pkts_per_sec = {pkts_per_sec:.0} ({pkts} pkts), \
-         transfer_events_per_sec = {transfer_events_per_sec:.0} ({events} events), \
-         {received} B delivered"
-    );
+    let (pkts_per_sec, transfer_events_per_sec, pkts, events) = end_to_end(transfer_bytes);
 
     eprintln!("macrobench: many-flows scale workload ({scale_bytes} B/flow)...");
-    let scale: Vec<ScaleResult> = [16usize, 64, 256]
-        .iter()
-        .map(|&flows| {
-            let r = run_many_flows(flows, scale_bytes, 42);
-            eprintln!(
-                "macrobench:   flows_{flows}: events_per_sec = {:.0}, wall_ms = {:.1} \
-                 ({} events)",
-                r.events_per_sec, r.wall_ms, r.sim_events
-            );
-            r
-        })
-        .collect();
+    let scale = [16, 64, 256].map(|flows| run_many_flows(flows, scale_bytes, 42));
 
     eprintln!("macrobench: many-flows scale workload under churn ({scale_bytes} B/flow)...");
-    let scale_churn: Vec<ScaleResult> = [16usize, 64, 256]
-        .iter()
-        .map(|&flows| {
-            let r = run_many_flows_churn(flows, scale_bytes, 42);
-            eprintln!(
-                "macrobench:   flows_churn_{flows}: events_per_sec = {:.0}, wall_ms = {:.1} \
-                 ({} events)",
-                r.events_per_sec, r.wall_ms, r.sim_events
-            );
-            r
-        })
-        .collect();
+    let scale_churn = [16, 64, 256].map(|flows| run_many_flows_churn(flows, scale_bytes, 42));
 
     let (shard_cells, shard_flows_per_cell) = (100usize, 100usize);
     let shard_bytes: u64 = if fast { 1_024 } else { 4_096 };
     // Honest parallelism: workers come from the host's actual core count
     // (capped at the 4-worker reference config), and `cores` is reported
-    // once at top level — the ci.sh speedup floors key off it.
+    // once at top level — the gate's speedup floors key off it.
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let shard_workers = shard_worker_count();
     // Fixed backbone split so the workload partition (and its golden
@@ -254,41 +221,25 @@ fn main() {
         "macrobench: sharded flows_10k workload ({shard_cells} cells × \
          {shard_flows_per_cell} flows, {shard_bytes} B/flow, {cores} cores)..."
     );
-    let shard_serial =
-        run_sharded_flows(shard_cells, shard_flows_per_cell, shard_bytes, 42, 1, shard_backbone);
+    let sharded = |workers| {
+        run_sharded_flows(shard_cells, shard_flows_per_cell, shard_bytes, 42, workers, shard_backbone)
+    };
+    let shard_serial = sharded(1);
     // With one worker the "parallel" run would be the identical
     // configuration re-measured — any wall-clock delta is cache-warming
     // noise masquerading as speedup — so it is skipped and 1.0 recorded.
     let (shard_par, speedup_vs_serial) = if shard_workers > 1 {
-        let par = run_sharded_flows(
-            shard_cells,
-            shard_flows_per_cell,
-            shard_bytes,
-            42,
-            shard_workers,
-            shard_backbone,
-        );
+        let par = sharded(shard_workers);
         let speedup = shard_serial.wall_ms / par.wall_ms.max(1e-9);
         (par, speedup)
     } else {
         (shard_serial.clone(), 1.0)
     };
-    eprintln!(
-        "macrobench:   flows_10k: events_per_sec = {:.0}, wall_ms = {:.1} at {shard_workers} \
-         workers vs {:.1} serial ({speedup_vs_serial:.2}x, {} xfer pkts, {} windows, \
-         {} skipped)",
-        shard_par.events_per_sec,
-        shard_par.wall_ms,
-        shard_serial.wall_ms,
-        shard_par.xfer_pkts,
-        shard_par.windows,
-        shard_par.windows_skipped
-    );
 
     // Metro workload: fg transfers ride a fluid background population whose
     // packets are never simulated — only max-min re-solve epochs on a 10 ms
-    // grid. The doubled-population run exists to demonstrate (and let ci.sh
-    // gate) that sim_events track epochs, not background packet volume.
+    // grid. The doubled-population run exists to demonstrate (and let the
+    // gate check) that sim_events track epochs, not background packet volume.
     let (metro_cells, metro_bg, metro_fg) = (32usize, 2_000usize, 8usize);
     // Horizons leave room for loss-delayed stragglers (a lost SYN puts a
     // flow a full RTO behind) while staying fixed across the 1x/2x runs so
@@ -299,207 +250,176 @@ fn main() {
          {} fg flows, {metro_bytes} B/flow, {metro_horizon} s horizon)...",
         metro_cells * metro_fg
     );
-    let metro = run_metro(
-        metro_cells,
-        metro_bg,
-        metro_fg,
-        metro_bytes,
-        metro_horizon,
-        42,
-        shard_workers,
-    );
-    let metro_2x = run_metro(
-        metro_cells,
-        metro_bg * 2,
-        metro_fg,
-        metro_bytes,
-        metro_horizon,
-        42,
-        shard_workers,
-    );
-    eprintln!(
-        "macrobench:   metro: events_per_sec = {:.0}, fg_goodput_bps = {:.0}, \
-         wall_ms = {:.1} ({} bg users, {} active, {} epochs, {} sim events; \
-         2x bg users → {} sim events, {:.2}x)",
-        metro.events_per_sec,
-        metro.fg_goodput_bps,
-        metro.wall_ms,
-        metro.bg_users,
-        metro.bg_active,
-        metro.fluid_epochs,
-        metro.sim_events,
-        metro_2x.sim_events,
-        metro_2x.sim_events as f64 / metro.sim_events.max(1) as f64
-    );
+    let metro_run =
+        |bg| run_metro(metro_cells, bg, metro_fg, metro_bytes, metro_horizon, 42, shard_workers);
+    let (metro, metro_2x) = (metro_run(metro_bg), metro_run(metro_bg * 2));
 
     eprintln!("macrobench: fluid solver (max-min re-solve at 100/1k/10k flows)...");
     let fluid_ns: Vec<f64> = [100usize, 1_000, 10_000].iter().map(|&n| fluid_solver_ns(n)).collect();
-    eprintln!(
-        "macrobench:   fluid_solver_ns = {:.0} / {:.0} / {:.0}",
-        fluid_ns[0], fluid_ns[1], fluid_ns[2]
-    );
 
     // The allocation headlines measure the machinery itself on the pinned
     // probe workloads (see DESIGN.md): the serial event core and the
     // sharded window loop, both after a two-simulated-second warmup. The
     // flows_10k TCP workload's node work (TCP bookkeeping, flow teardown)
     // allocates by design and is not what the zero-allocation contract
-    // covers.
+    // covers. Both are null without the counting allocator.
     let (allocs_per_event, allocs_per_window) = if comma_rt::alloc::enabled() {
-        let (_, core_allocs, core_events) = event_core_alloc_probe_events(32, 7);
-        let (_, loop_allocs, loop_windows) = sharded_alloc_probe_windows(4, shard_workers, 7);
+        let (_, core_allocs, core_events) = event_core_alloc_probe(32, 7);
+        let (_, loop_allocs, loop_windows) = sharded_alloc_probe(4, shard_workers, 7);
         (
-            format!("{:.6}", core_allocs as f64 / core_events.max(1) as f64),
-            format!("{:.4}", loop_allocs as f64 / loop_windows.max(1) as f64),
+            Some(round(core_allocs as f64 / core_events.max(1) as f64, 6)),
+            Some(round(loop_allocs as f64 / loop_windows.max(1) as f64, 4)),
         )
     } else {
-        ("null".to_string(), "null".to_string())
+        (None, None)
     };
-    eprintln!(
-        "macrobench:   allocs_per_event = {allocs_per_event} (event core), \
-         allocs_per_window = {allocs_per_window} (sharded window loop)"
-    );
 
     let workers = exps::worker_count();
     eprintln!("macrobench: experiment suite serial vs parallel ({workers} workers)...");
     let (serial_ms, parallel_ms) = exps_wall_ms();
-    // JSON fragments: parallel wall and speedup are null on 1-worker hosts
-    // (no duplicate run to compare against).
-    let (parallel_json, speedup_json) = match parallel_ms {
-        Some(p) => (format!("{p:.1}"), format!("{:.2}", serial_ms / p.max(1e-9))),
-        None => ("null".to_string(), "null".to_string()),
-    };
-    match parallel_ms {
-        Some(p) => eprintln!(
-            "macrobench:   exps_wall_ms serial = {serial_ms:.0}, parallel = {p:.0} \
-             ({:.2}x)",
-            serial_ms / p.max(1e-9)
-        ),
-        None => eprintln!(
-            "macrobench:   exps_wall_ms serial = {serial_ms:.0}, parallel skipped \
-             (1 worker, speedup: null)"
-        ),
-    }
+    // Parallel wall and speedup are null on 1-worker hosts (no duplicate
+    // run to compare against).
+    let speedup = parallel_ms.map(|p| serial_ms / p.max(1e-9));
 
-    let scale_json = scale
-        .iter()
-        .map(|r| {
-            format!(
-                "    \"flows_{}\": {{ \"events_per_sec\": {:.1}, \"wall_ms\": {:.1}, \
-                 \"sim_events\": {} }}",
-                r.flows, r.events_per_sec, r.wall_ms, r.sim_events
-            )
-        })
-        .chain(scale_churn.iter().map(|r| {
-            format!(
-                "    \"flows_churn_{}\": {{ \"events_per_sec\": {:.1}, \"wall_ms\": {:.1}, \
-                 \"sim_events\": {} }}",
-                r.flows, r.events_per_sec, r.wall_ms, r.sim_events
-            )
-        }))
-        .chain(std::iter::once(format!(
-            "    \"flows_10k\": {{ \"events_per_sec\": {:.1}, \"wall_ms\": {:.1}, \
-             \"sim_events\": {}, \"flows\": {}, \"workers\": {}, \
-             \"serial_wall_ms\": {:.1}, \"speedup_vs_serial\": {:.3}, \
-             \"windows\": {}, \"windows_skipped\": {}, \"xfer_pkts\": {}, \
-             \"lane_bytes\": {} }}",
-            shard_par.events_per_sec,
-            shard_par.wall_ms,
-            shard_par.sim_events,
-            shard_cells * shard_flows_per_cell,
-            shard_par.workers,
-            shard_serial.wall_ms,
-            speedup_vs_serial,
-            shard_par.windows,
-            shard_par.windows_skipped,
-            shard_par.xfer_pkts,
-            shard_par.lane_bytes
-        )))
-        .collect::<Vec<_>>()
-        .join(",\n");
+    eprintln!("macrobench: model checker (shipped exploration)...");
+    let t = Instant::now();
+    let mc = explore(&McConfig::default());
+    let mc_wall_ms = t.elapsed().as_secs_f64() * 1e3;
+
+    let rate = |events_per_sec: f64, wall_ms: f64, sim_events: u64| {
+        Json::object()
+            .with("events_per_sec", round(events_per_sec, 1))
+            .with("wall_ms", round(wall_ms, 1))
+            .with("sim_events", sim_events)
+    };
+    let mut scale_json = Json::object();
+    for (prefix, runs) in [("flows", &scale), ("flows_churn", &scale_churn)] {
+        for r in runs {
+            let block = rate(r.events_per_sec, r.wall_ms, r.sim_events);
+            scale_json = scale_json.with(format!("{prefix}_{}", r.flows), block);
+        }
+    }
+    let scale_json = scale_json.with(
+        "flows_10k",
+        rate(shard_par.events_per_sec, shard_par.wall_ms, shard_par.sim_events)
+            .with("flows", shard_cells * shard_flows_per_cell)
+            .with("workers", shard_par.workers)
+            .with("serial_wall_ms", round(shard_serial.wall_ms, 1))
+            .with("speedup_vs_serial", round(speedup_vs_serial, 3))
+            .with("windows", shard_par.windows)
+            .with("windows_skipped", shard_par.windows_skipped)
+            .with("xfer_pkts", shard_par.xfer_pkts)
+            .with("lane_bytes", shard_par.lane_bytes),
+    );
+    let fluid_json = Json::object()
+        .with("flows_100", round(fluid_ns[0], 1))
+        .with("flows_1000", round(fluid_ns[1], 1))
+        .with("flows_10000", round(fluid_ns[2], 1));
+    let exps_json = Json::object()
+        .with("serial", round(serial_ms, 1))
+        .with("parallel", parallel_ms.map(|p| round(p, 1)));
 
     let unix_ts = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    let entry = format!(
-        "  {{\n    \"unix_ts\": {unix_ts},\n    \"fast\": {fast},\n    \
-         \"engine_ns_per_pkt\": {ns_per_pkt:.1},\n    \
-         \"pkts_per_sec\": {pkts_per_sec:.1},\n    \
-         \"events_per_sec\": {events_per_sec:.1},\n    \
-         \"transfer_events_per_sec\": {transfer_events_per_sec:.1},\n    \
-         \"scale_events_per_sec\": {{ \"flows_16\": {:.1}, \"flows_64\": {:.1}, \
-         \"flows_256\": {:.1} }},\n    \
-         \"flows_10k_speedup_vs_serial\": {speedup_vs_serial:.3},\n    \
-         \"metro_events_per_sec\": {:.1},\n    \
-         \"metro_fg_goodput_bps\": {:.1},\n    \
-         \"fluid_solver_ns\": {{ \"flows_100\": {:.1}, \"flows_1000\": {:.1}, \
-         \"flows_10000\": {:.1} }},\n    \
-         \"exps_wall_ms\": {{ \"serial\": {serial_ms:.1}, \"parallel\": {parallel_json} }}\n  }}",
-        scale[0].events_per_sec,
-        scale[1].events_per_sec,
-        scale[2].events_per_sec,
-        metro.events_per_sec,
-        metro.fg_goodput_bps,
-        fluid_ns[0],
-        fluid_ns[1],
-        fluid_ns[2]
-    );
+    let entry = Json::object()
+        .with("unix_ts", unix_ts)
+        .with("fast", fast)
+        .with("engine_ns_per_pkt", round(ns_per_pkt, 1))
+        .with("pkts_per_sec", round(pkts_per_sec, 1))
+        .with("events_per_sec", round(events_per_sec, 1))
+        .with("transfer_events_per_sec", round(transfer_events_per_sec, 1))
+        .with(
+            "scale_events_per_sec",
+            Json::object()
+                .with("flows_16", round(scale[0].events_per_sec, 1))
+                .with("flows_64", round(scale[1].events_per_sec, 1))
+                .with("flows_256", round(scale[2].events_per_sec, 1)),
+        )
+        .with("flows_10k_speedup_vs_serial", round(speedup_vs_serial, 3))
+        .with("metro_events_per_sec", round(metro.events_per_sec, 1))
+        .with("metro_fg_goodput_bps", round(metro.fg_goodput_bps, 1))
+        .with("fluid_solver_ns", fluid_json.clone())
+        .with("exps_wall_ms", exps_json.clone());
 
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let snapshot = format!(
-        "{{\n  \"schema\": \"comma-macro-bench-v2\",\n  \"fast\": {fast},\n  \
-         \"cores\": {cores},\n  \
-         \"allocs_per_event\": {allocs_per_event},\n  \
-         \"allocs_per_window\": {allocs_per_window},\n  \
-         \"windows_skipped\": {},\n  \
-         \"event_core_nodes\": {core_nodes},\n  \
-         \"events_per_sec\": {events_per_sec:.1},\n  \
-         \"engine_pkts\": {engine_pkts},\n  \
-         \"engine_ns_per_pkt\": {ns_per_pkt:.1},\n  \
-         \"transfer_bytes\": {transfer_bytes},\n  \
-         \"proxy_pkts\": {pkts},\n  \
-         \"pkts_per_sec\": {pkts_per_sec:.1},\n  \
-         \"sim_events\": {events},\n  \
-         \"transfer_events_per_sec\": {transfer_events_per_sec:.1},\n  \
-         \"scale\": {{\n{scale_json}\n  }},\n  \
-         \"metro\": {{\n    \
-         \"cells\": {metro_cells},\n    \
-         \"bg_users\": {},\n    \
-         \"bg_active\": {},\n    \
-         \"fg_flows\": {},\n    \
-         \"bytes_per_flow\": {metro_bytes},\n    \
-         \"horizon_secs\": {metro_horizon},\n    \
-         \"fg_goodput_bps\": {:.1},\n    \
-         \"events_per_sec\": {:.1},\n    \
-         \"sim_events\": {},\n    \
-         \"sim_events_2x_bg\": {},\n    \
-         \"fluid_epochs\": {},\n    \
-         \"fluid_links\": {},\n    \
-         \"wall_ms\": {:.1},\n    \
-         \"workers\": {}\n  }},\n  \
-         \"fluid_solver_ns\": {{ \"flows_100\": {:.1}, \"flows_1000\": {:.1}, \
-         \"flows_10000\": {:.1} }},\n  \
-         \"exps_wall_ms\": {{ \"serial\": {serial_ms:.1}, \"parallel\": {parallel_json}, \
-         \"speedup\": {speedup_json}, \"workers\": {workers} }}\n}}\n",
-        shard_par.windows_skipped,
-        metro.bg_users,
-        metro.bg_active,
-        metro.fg_flows,
-        metro.fg_goodput_bps,
-        metro.events_per_sec,
-        metro.sim_events,
-        metro_2x.sim_events,
-        metro.fluid_epochs,
-        metro.fluid_links,
-        metro.wall_ms,
-        metro.workers,
-        fluid_ns[0],
-        fluid_ns[1],
-        fluid_ns[2]
-    );
-    std::fs::write(root.join("BENCH_macro.json"), &snapshot).expect("write BENCH_macro.json");
-    append_trajectory(&root, &entry);
-    println!("{snapshot}");
+    let snapshot = Json::object()
+        .with("schema", "comma-macro-bench-v2")
+        .with("fast", fast)
+        .with("cores", cores)
+        .with("allocs_per_event", allocs_per_event)
+        .with("allocs_per_window", allocs_per_window)
+        .with("windows_skipped", shard_par.windows_skipped)
+        .with("event_core_nodes", core_nodes)
+        .with("events_per_sec", round(events_per_sec, 1))
+        .with("engine_pkts", engine_pkts)
+        .with("engine_ns_per_pkt", round(ns_per_pkt, 1))
+        .with("transfer_bytes", transfer_bytes)
+        .with("proxy_pkts", pkts)
+        .with("pkts_per_sec", round(pkts_per_sec, 1))
+        .with("sim_events", events)
+        .with("transfer_events_per_sec", round(transfer_events_per_sec, 1))
+        .with("scale", scale_json)
+        .with(
+            "metro",
+            Json::object()
+                .with("cells", metro_cells)
+                .with("bg_users", metro.bg_users)
+                .with("bg_active", metro.bg_active)
+                .with("fg_flows", metro.fg_flows)
+                .with("bytes_per_flow", metro_bytes)
+                .with("horizon_secs", metro_horizon)
+                .with("fg_goodput_bps", round(metro.fg_goodput_bps, 1))
+                .with("events_per_sec", round(metro.events_per_sec, 1))
+                .with("sim_events", metro.sim_events)
+                .with("sim_events_2x_bg", metro_2x.sim_events)
+                .with("fluid_epochs", metro.fluid_epochs)
+                .with("fluid_links", metro.fluid_links)
+                .with("wall_ms", round(metro.wall_ms, 1))
+                .with("workers", metro.workers),
+        )
+        .with("fluid_solver_ns", fluid_json)
+        .with(
+            "exps_wall_ms",
+            exps_json
+                .with("speedup", speedup.map(|s| round(s, 2)))
+                .with("workers", workers),
+        )
+        .with(
+            "mc",
+            Json::object()
+                .with("states_explored", mc.states_explored)
+                .with("states_pruned", mc.states_pruned)
+                .with("steps_executed", mc.steps_executed)
+                .with("max_depth", mc.max_depth_reached)
+                .with("terminal_schedules", mc.terminal_states)
+                .with("dedup_ratio", round(mc.dedup_ratio(), 3))
+                .with("states_per_sec", round(mc.states_explored as f64 / (mc_wall_ms / 1e3), 0))
+                .with("violations", mc.violation.is_some() as u64)
+                .with("wall_ms", round(mc_wall_ms, 1)),
+        );
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (snapshot_path, trajectory_path) = (root.join("BENCH_macro.json"), root.join("BENCH.json"));
+    write_json(&snapshot_path, &snapshot);
+    let history = append_trajectory(&trajectory_path, entry);
+    println!("{}", snapshot.pretty());
+    for (path, written) in [(&snapshot_path, &snapshot), (&trajectory_path, &history)] {
+        if read_json(path) != *written {
+            fail(path, "does not parse back to what was written");
+        }
+    }
     eprintln!("macrobench: wrote BENCH_macro.json and appended BENCH.json");
+
+    let fails = gate::check(&snapshot, cfg!(feature = "alloc-stats"));
+    for f in &fails {
+        eprintln!("macrobench gate FAILED: {f}");
+    }
+    if !fails.is_empty() {
+        std::process::exit(1);
+    }
+    eprintln!(
+        "macrobench: gates ok ({} trajectory entries)",
+        history.as_array().map_or(0, <[Json]>::len)
+    );
 }

@@ -78,10 +78,12 @@ fn bench_engine(bench: &mut Bench) {
             engine.register(WildKey::ANY, "tcp", vec![]).unwrap();
         }
         let mut rng = SmallRng::seed_from_u64(1);
+        let mut out = Vec::new();
         // Prime the queue.
-        engine.process(SimTime::ZERO, &mut rng, &NullMetrics, data_packet(1400));
+        engine.process(SimTime::ZERO, &mut rng, &NullMetrics, data_packet(1400), &mut out);
         g.bench(format!("per_packet_depth{depth}"), || {
-            engine.process(SimTime::ZERO, &mut rng, &NullMetrics, data_packet(1400))
+            out.clear();
+            engine.process(SimTime::ZERO, &mut rng, &NullMetrics, data_packet(1400), &mut out)
         });
     }
 
@@ -90,20 +92,16 @@ fn bench_engine(bench: &mut Bench) {
     // (tcp → snoop → wsize → tcp), payload untouched — the zero-clone path.
     let mut passthrough = FilterEngine::new(standard_catalog(comma_filters::ALL_FILTERS));
     let mut rng = SmallRng::seed_from_u64(2);
-    passthrough.process(SimTime::ZERO, &mut rng, &NullMetrics, data_packet(1400));
+    let mut out = Vec::new();
+    passthrough.process(SimTime::ZERO, &mut rng, &NullMetrics, data_packet(1400), &mut out);
     g.bench("engine_process_passthrough", || {
-        passthrough.process(SimTime::ZERO, &mut rng, &NullMetrics, data_packet(1400))
+        out.clear();
+        passthrough.process(SimTime::ZERO, &mut rng, &NullMetrics, data_packet(1400), &mut out)
     });
 
-    let mut chain = FilterEngine::new(standard_catalog(comma_filters::ALL_FILTERS));
-    chain.register(WildKey::ANY, "tcp", vec![]).unwrap();
-    chain.register(WildKey::ANY, "snoop", vec![]).unwrap();
-    chain
-        .register(WildKey::ANY, "wsize", vec!["scale".into(), "90".into()])
-        .unwrap();
-    chain.register(WildKey::ANY, "tcp", vec![]).unwrap();
+    let mut chain = comma_bench::chain_engine();
     let mut rng = SmallRng::seed_from_u64(3);
-    chain.process(SimTime::ZERO, &mut rng, &NullMetrics, data_packet(1400));
+    chain.process(SimTime::ZERO, &mut rng, &NullMetrics, data_packet(1400), &mut out);
     let mut seq = 0u32;
     g.bench("engine_process_4filter_chain", || {
         seq = seq.wrapping_add(1400);
@@ -111,7 +109,8 @@ fn bench_engine(bench: &mut Bench) {
         if let comma_netsim::packet::IpPayload::Tcp(seg) = &mut pkt.body {
             seg.seq = seq;
         }
-        chain.process(SimTime::ZERO, &mut rng, &NullMetrics, pkt)
+        out.clear();
+        chain.process(SimTime::ZERO, &mut rng, &NullMetrics, pkt, &mut out)
     });
 
     g.finish();

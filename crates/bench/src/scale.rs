@@ -48,6 +48,13 @@ pub struct ScaleResult {
     pub sim_time: SimTime,
 }
 
+/// The scale workloads' wireless link: 8 Mbit/s, a 128 KiB queue and
+/// bursty Gilbert loss.
+fn wireless() -> LinkParams {
+    let loss = LossModel::Gilbert { p_good_to_bad: 0.02, p_bad_to_good: 0.5, loss_good: 0.005, loss_bad: 0.15 };
+    LinkParams::wireless().with_bandwidth(8_000_000).with_queue_limit(128 * 1024).with_loss(loss)
+}
+
 /// Builds the many-flows world: N bulk senders on the wired host, N sinks
 /// on the mobile host (ports `9000..9000+N`), the standard 4-filter chain
 /// installed wildcard on the Service Proxy, and a lossy wireless link.
@@ -57,12 +64,6 @@ fn build_many_flows(
     seed: u64,
     observability: bool,
 ) -> comma::topology::CommaWorld {
-    let loss = LossModel::Gilbert {
-        p_good_to_bad: 0.02,
-        p_bad_to_good: 0.5,
-        loss_good: 0.005,
-        loss_bad: 0.15,
-    };
     let mut senders: Vec<Box<dyn comma_tcp::apps::App>> = Vec::with_capacity(flows);
     let mut sinks: Vec<Box<dyn comma_tcp::apps::App>> = Vec::with_capacity(flows);
     for i in 0..flows {
@@ -73,16 +74,7 @@ fn build_many_flows(
     let mut world = CommaBuilder::new(seed)
         .eem(false)
         .observability(observability)
-        .wireless(
-            LinkParams::wireless()
-                .with_bandwidth(8_000_000)
-                .with_queue_limit(128 * 1024)
-                .with_loss(loss.clone()),
-            LinkParams::wireless()
-                .with_bandwidth(8_000_000)
-                .with_queue_limit(128 * 1024)
-                .with_loss(loss),
-        )
+        .wireless(wireless(), wireless())
         .build(senders, sinks);
     world.sp("add tcp 0.0.0.0 0 11.11.10.10 0");
     world.sp("add snoop 0.0.0.0 0 11.11.10.10 0");
@@ -91,16 +83,11 @@ fn build_many_flows(
     world
 }
 
-/// Runs `flows` concurrent TCP transfers of `bytes_per_flow` each through
-/// the filtered proxy over a lossy wireless link; panics unless every flow
-/// completes.
-pub fn run_many_flows(flows: usize, bytes_per_flow: usize, seed: u64) -> ScaleResult {
-    let mut world = build_many_flows(flows, bytes_per_flow, seed, false);
-    let target = flows as u64 * bytes_per_flow as u64;
-    // Step in one-second increments and stop once every flow has finished:
-    // the proxy's periodic filter timers (snoop ticks, wsize polls) run
-    // forever, so a fixed far horizon would measure idle timer noise.
-    let t = Instant::now();
+/// Steps `world` one simulated second at a time until its sinks hold
+/// `target` bytes (at most an hour) and returns the bytes delivered. The
+/// proxy's periodic filter timers (snoop ticks, wsize polls) run forever,
+/// so a fixed far horizon would measure idle timer noise.
+fn run_to_target(world: &mut comma::topology::CommaWorld, target: u64) -> u64 {
     let mut delivered = 0u64;
     for sec in 1..=3_600u64 {
         world.run_until(SimTime::from_secs(sec));
@@ -114,21 +101,69 @@ pub fn run_many_flows(flows: usize, bytes_per_flow: usize, seed: u64) -> ScaleRe
             break;
         }
     }
+    delivered
+}
+
+/// FNV-1a digest of the world's rendered packet trace.
+fn trace_digest(world: &comma::topology::CommaWorld) -> u64 {
+    let mut digest = comma_rt::digest::Fnv1a::new();
+    for line in world.sim.trace.render(|_| true) {
+        digest.update(line.as_bytes());
+        digest.update(b"\n");
+    }
+    digest.finish()
+}
+
+/// Builds the many-flows world (under [`churn_plan`] when `churn`),
+/// optionally with trace capture and the oracle, and runs it until every
+/// flow completes; panics otherwise. Returns the world and the run's wall
+/// time.
+fn run_many_flows_world(
+    flows: usize,
+    bytes_per_flow: usize,
+    seed: u64,
+    churn: bool,
+    traced: bool,
+) -> (comma::topology::CommaWorld, f64) {
+    let mut world = build_many_flows(flows, bytes_per_flow, seed, false);
+    if churn {
+        world.apply_fault_plan(&churn_plan(seed ^ 0xc4e7));
+    }
+    if traced {
+        if churn {
+            world.attach_oracle();
+        }
+        world.sim.trace.set_capture(true);
+        world.sim.trace.set_max_entries(1 << 21);
+    }
+    let target = flows as u64 * bytes_per_flow as u64;
+    let t = Instant::now();
+    let delivered = run_to_target(&mut world, target);
     let wall = t.elapsed().as_secs_f64();
-    assert_eq!(
-        delivered, target,
-        "many-flows: not every transfer completed within the horizon"
-    );
+    let label = if churn { "many-flows/churn" } else { "many-flows" };
+    assert_eq!(delivered, target, "{label}: not every transfer completed within the horizon");
+    (world, wall)
+}
+
+fn scale_result(world: &comma::topology::CommaWorld, flows: usize, bytes_per_flow: usize, wall: f64) -> ScaleResult {
     let sim_events = world.sim.events_processed();
     ScaleResult {
         flows,
         bytes_per_flow: bytes_per_flow as u64,
-        delivered,
+        delivered: flows as u64 * bytes_per_flow as u64,
         sim_events,
         wall_ms: wall * 1e3,
         events_per_sec: sim_events as f64 / wall,
         sim_time: world.sim.now(),
     }
+}
+
+/// Runs `flows` concurrent TCP transfers of `bytes_per_flow` each through
+/// the filtered proxy over a lossy wireless link; panics unless every flow
+/// completes.
+pub fn run_many_flows(flows: usize, bytes_per_flow: usize, seed: u64) -> ScaleResult {
+    let (world, wall) = run_many_flows_world(flows, bytes_per_flow, seed, false, false);
+    scale_result(&world, flows, bytes_per_flow, wall)
 }
 
 /// The standard churn plan for the scale workloads: light reorder /
@@ -152,38 +187,8 @@ pub fn churn_plan(seed: u64) -> FaultPlan {
 /// flaps, and steps bandwidth. Every flow must still complete — the
 /// fault plan perturbs timing, never correctness.
 pub fn run_many_flows_churn(flows: usize, bytes_per_flow: usize, seed: u64) -> ScaleResult {
-    let mut world = build_many_flows(flows, bytes_per_flow, seed, false);
-    world.apply_fault_plan(&churn_plan(seed ^ 0xc4e7));
-    let target = flows as u64 * bytes_per_flow as u64;
-    let t = Instant::now();
-    let mut delivered = 0u64;
-    for sec in 1..=3_600u64 {
-        world.run_until(SimTime::from_secs(sec));
-        delivered = world
-            .mobile_app_ids
-            .clone()
-            .into_iter()
-            .map(|id| world.mobile_app::<Sink, _>(id, |s| s.bytes_received) as u64)
-            .sum();
-        if delivered >= target {
-            break;
-        }
-    }
-    let wall = t.elapsed().as_secs_f64();
-    assert_eq!(
-        delivered, target,
-        "many-flows/churn: not every transfer completed within the horizon"
-    );
-    let sim_events = world.sim.events_processed();
-    ScaleResult {
-        flows,
-        bytes_per_flow: bytes_per_flow as u64,
-        delivered,
-        sim_events,
-        wall_ms: wall * 1e3,
-        events_per_sec: sim_events as f64 / wall,
-        sim_time: world.sim.now(),
-    }
+    let (world, wall) = run_many_flows_world(flows, bytes_per_flow, seed, true, false);
+    scale_result(&world, flows, bytes_per_flow, wall)
 }
 
 /// Runs the many-flows workload under [`churn_plan`] with full
@@ -191,33 +196,9 @@ pub fn run_many_flows_churn(flows: usize, bytes_per_flow: usize, seed: u64) -> S
 /// any oracle violation and returns the FNV-1a trace digest (used by the
 /// determinism suite: faulted runs must replay byte-identically).
 pub fn many_flows_churn_trace_digest(flows: usize, bytes_per_flow: usize, seed: u64) -> u64 {
-    let mut world = build_many_flows(flows, bytes_per_flow, seed, false);
-    world.apply_fault_plan(&churn_plan(seed ^ 0xc4e7));
-    world.attach_oracle();
-    world.sim.trace.set_capture(true);
-    world.sim.trace.set_max_entries(1 << 21);
-    let target = flows as u64 * bytes_per_flow as u64;
-    let mut delivered = 0u64;
-    for sec in 1..=3_600u64 {
-        world.run_until(SimTime::from_secs(sec));
-        delivered = world
-            .mobile_app_ids
-            .clone()
-            .into_iter()
-            .map(|id| world.mobile_app::<Sink, _>(id, |s| s.bytes_received) as u64)
-            .sum();
-        if delivered >= target {
-            break;
-        }
-    }
-    assert_eq!(delivered, target, "many-flows/churn: transfers incomplete");
+    let (mut world, _) = run_many_flows_world(flows, bytes_per_flow, seed, true, true);
     world.assert_oracle_clean();
-    let mut digest = comma_rt::digest::Fnv1a::new();
-    for line in world.sim.trace.render(|_| true) {
-        digest.update(line.as_bytes());
-        digest.update(b"\n");
-    }
-    digest.finish()
+    trace_digest(&world)
 }
 
 /// Runs the many-flows workload with observability enabled and returns the
@@ -225,19 +206,7 @@ pub fn many_flows_churn_trace_digest(flows: usize, bytes_per_flow: usize, seed: 
 /// must produce a byte-identical export).
 pub fn many_flows_obs_export(flows: usize, bytes_per_flow: usize, seed: u64) -> String {
     let mut world = build_many_flows(flows, bytes_per_flow, seed, true);
-    let target = flows as u64 * bytes_per_flow as u64;
-    for sec in 1..=3_600u64 {
-        world.run_until(SimTime::from_secs(sec));
-        let delivered: u64 = world
-            .mobile_app_ids
-            .clone()
-            .into_iter()
-            .map(|id| world.mobile_app::<Sink, _>(id, |s| s.bytes_received) as u64)
-            .sum();
-        if delivered >= target {
-            break;
-        }
-    }
+    run_to_target(&mut world, flows as u64 * bytes_per_flow as u64);
     world.obs.export_jsonl()
 }
 
@@ -245,30 +214,8 @@ pub fn many_flows_obs_export(flows: usize, bytes_per_flow: usize, seed: u64) -> 
 /// returns the FNV-1a digest of the rendered trace (used by the
 /// determinism suite: same seed must produce byte-identical traces).
 pub fn many_flows_trace_digest(flows: usize, bytes_per_flow: usize, seed: u64) -> u64 {
-    let mut world = build_many_flows(flows, bytes_per_flow, seed, false);
-    world.sim.trace.set_capture(true);
-    world.sim.trace.set_max_entries(1 << 21);
-    let target = flows as u64 * bytes_per_flow as u64;
-    let mut delivered = 0u64;
-    for sec in 1..=3_600u64 {
-        world.run_until(SimTime::from_secs(sec));
-        delivered = world
-            .mobile_app_ids
-            .clone()
-            .into_iter()
-            .map(|id| world.mobile_app::<Sink, _>(id, |s| s.bytes_received) as u64)
-            .sum();
-        if delivered >= target {
-            break;
-        }
-    }
-    assert_eq!(delivered, target, "many-flows: transfers incomplete");
-    let mut digest = comma_rt::digest::Fnv1a::new();
-    for line in world.sim.trace.render(|_| true) {
-        digest.update(line.as_bytes());
-        digest.update(b"\n");
-    }
-    digest.finish()
+    let (world, _) = run_many_flows_world(flows, bytes_per_flow, seed, false, true);
+    trace_digest(&world)
 }
 
 /// A light node for the event-core workload: every timer fire sends one
@@ -425,16 +372,9 @@ pub fn build_event_core(nodes: usize, seed: u64) -> (Simulator, Vec<NodeId>) {
 /// steady-state figure. Returns `(warmup_allocs, steady_allocs)` for the
 /// calling thread — both zero unless built with `comma-rt/alloc-stats`,
 /// and `steady_allocs` must be zero even with it (pinned by the
-/// allocation-regression tests).
-pub fn event_core_alloc_probe(nodes: usize, seed: u64) -> (u64, u64) {
-    let (warm, steady, _) = event_core_alloc_probe_events(nodes, seed);
-    (warm, steady)
-}
-
-/// [`event_core_alloc_probe`] plus the steady-segment event count, for
-/// `allocs_per_event` reporting: returns
-/// `(warmup_allocs, steady_allocs, steady_events)`.
-pub fn event_core_alloc_probe_events(nodes: usize, seed: u64) -> (u64, u64, u64) {
+/// allocation-regression tests). The third value is the steady segment's
+/// event count, for `allocs_per_event`.
+pub fn event_core_alloc_probe(nodes: usize, seed: u64) -> (u64, u64, u64) {
     let (mut sim, _ids) = build_event_core(nodes, seed);
     let warm = comma_rt::alloc::AllocScope::begin();
     sim.run_until(SimTime::from_secs(2));
@@ -466,17 +406,9 @@ pub fn shard_worker_count() -> usize {
 /// by the lane-based runner. Allocation counts come from
 /// [`comma_netsim::shard::ShardStats::allocs`], i.e. they are measured on
 /// the worker threads inside the window loop itself. Returns
-/// `(warmup_allocs, steady_allocs)`; steady state must be zero under
-/// `comma-rt/alloc-stats`.
-pub fn sharded_alloc_probe(shards: usize, workers: usize, seed: u64) -> (u64, u64) {
-    let (warm, steady, _) = sharded_alloc_probe_windows(shards, workers, seed);
-    (warm, steady)
-}
-
-/// [`sharded_alloc_probe`] plus the steady-segment window count, for
-/// `allocs_per_window` reporting: returns
-/// `(warmup_allocs, steady_allocs, steady_windows)`.
-pub fn sharded_alloc_probe_windows(shards: usize, workers: usize, seed: u64) -> (u64, u64, u64) {
+/// `(warmup_allocs, steady_allocs, steady_windows)`; steady state must be
+/// zero under `comma-rt/alloc-stats`.
+pub fn sharded_alloc_probe(shards: usize, workers: usize, seed: u64) -> (u64, u64, u64) {
     use comma_netsim::shard::{ShardPlan, ShardWiring, ShardedSimulator};
     assert!(shards >= 2, "a boundary ring needs at least two shards");
     let latency = SimDuration::from_millis(10);
@@ -572,18 +504,6 @@ pub fn build_cells(
     backbone_shards: usize,
     single_shard: bool,
 ) -> comma::topo::ShardedWorld {
-    let loss = LossModel::Gilbert {
-        p_good_to_bad: 0.02,
-        p_bad_to_good: 0.5,
-        loss_good: 0.005,
-        loss_bad: 0.15,
-    };
-    let wireless = || {
-        LinkParams::wireless()
-            .with_bandwidth(8_000_000)
-            .with_queue_limit(128 * 1024)
-            .with_loss(loss.clone())
-    };
     let mut builder = comma::topo::TopologyBuilder::new(seed)
         .backbone(LinkParams::wired().with_latency(SimDuration::from_millis(10)))
         .workers(workers)
@@ -787,18 +707,6 @@ pub fn build_metro(
     workers: usize,
     single_shard: bool,
 ) -> comma::topo::ShardedWorld {
-    let loss = LossModel::Gilbert {
-        p_good_to_bad: 0.02,
-        p_bad_to_good: 0.5,
-        loss_good: 0.005,
-        loss_bad: 0.15,
-    };
-    let wireless = || {
-        LinkParams::wireless()
-            .with_bandwidth(8_000_000)
-            .with_queue_limit(128 * 1024)
-            .with_loss(loss.clone())
-    };
     let mut builder = comma::topo::TopologyBuilder::new(seed)
         .backbone(LinkParams::wired().with_latency(SimDuration::from_millis(10)))
         .workers(workers)
@@ -931,18 +839,6 @@ pub fn run_sharded_churn(
     seed: u64,
     workers: usize,
 ) -> ShardScaleResult {
-    let loss = LossModel::Gilbert {
-        p_good_to_bad: 0.02,
-        p_bad_to_good: 0.5,
-        loss_good: 0.005,
-        loss_bad: 0.15,
-    };
-    let wireless = || {
-        LinkParams::wireless()
-            .with_bandwidth(8_000_000)
-            .with_queue_limit(128 * 1024)
-            .with_loss(loss.clone())
-    };
     let mut builder = comma::topo::TopologyBuilder::new(seed)
         .backbone(LinkParams::wired().with_latency(SimDuration::from_millis(10)))
         .workers(workers);
@@ -1019,8 +915,8 @@ mod tests {
     fn alloc_probes_run_and_warm_up() {
         // Behavioural smoke test in every configuration; the alloc-stats
         // regression suite additionally pins steady == 0.
-        let (warm_serial, steady_serial) = event_core_alloc_probe(8, 5);
-        let (warm_sharded, steady_sharded) = sharded_alloc_probe(4, 2, 5);
+        let (warm_serial, steady_serial, _) = event_core_alloc_probe(8, 5);
+        let (warm_sharded, steady_sharded, _) = sharded_alloc_probe(4, 2, 5);
         if comma_rt::alloc::enabled() {
             assert!(warm_serial > 0, "warmup must allocate");
             assert!(warm_sharded > 0, "warmup must allocate");

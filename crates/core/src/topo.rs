@@ -20,8 +20,8 @@
 //! tests pin this.
 
 use comma_eem::MetricsHub;
-use comma_faultcheck::{FaultPlan, Oracle, OracleConfig, OracleReport, Violation};
-use comma_filters::{standard_catalog, Ttsf};
+use comma_faultcheck::{FaultPlan, Oracle, OracleConfig, OracleReport};
+use comma_filters::standard_catalog;
 use comma_netsim::addr::{Ipv4Addr, Subnet};
 use comma_netsim::fluid::{FluidConfig, FluidTotals};
 use comma_netsim::link::{ChannelId, LinkKind, LinkParams};
@@ -36,7 +36,7 @@ use comma_tcp::host::{AppId, Host};
 use comma_tcp::TcpConfig;
 
 use crate::metrics::HubMetrics;
-use crate::topology::TRANSFORMING;
+use crate::topology::{assert_clean, finish_oracle, push_editmap_violations, sweep_proxy};
 
 /// Environment variable selecting the default worker count for
 /// [`TopologyBuilder::build`] when [`TopologyBuilder::workers`] was not
@@ -226,12 +226,6 @@ impl TopologyBuilder {
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = Some(n.max(1));
         self
-    }
-
-    /// Alias for [`TopologyBuilder::workers`], matching the `COMMA_SHARDS`
-    /// vocabulary.
-    pub fn shards(self, n: usize) -> Self {
-        self.workers(n)
     }
 
     /// Escape hatch: compile the whole topology into one shard (one plain
@@ -530,15 +524,8 @@ struct BackboneTag {
     senders: Vec<Vec<AppId>>,
 }
 
-/// Builds cell `i`'s wired host into the backbone shard: the host, its
-/// sender apps, and the boundary link toward the cell's proxy.
-fn build_wired_host(
-    sim: &mut Simulator,
-    cell: usize,
-    spec: &CellSpec,
-    backbone: &LinkParams,
-) -> (NodeId, Vec<AppId>, ChannelId) {
-    let keys = cell_keys(cell);
+/// Adds cell `i`'s wired host and its sender apps to `sim`.
+fn add_wired_host(sim: &mut Simulator, cell: usize, spec: &CellSpec) -> (NodeId, Vec<AppId>) {
     let (wired_addr, _, mobile_addr) = cell_addrs(cell);
     let mut host = Host::new(format!("{}.wired", spec.name), wired_addr);
     host.set_default_config(spec.tcp_cfg.clone());
@@ -547,11 +534,22 @@ fn build_wired_host(
         .iter()
         .map(|&(port, bytes)| host.add_app(Box::new(BulkSender::new((mobile_addr, port), bytes as usize))))
         .collect();
-    let wired = sim.add_node_keyed(Box::new(host), keys.wired_node);
+    (sim.add_node_keyed(Box::new(host), cell_keys(cell).wired_node), senders)
+}
+
+/// Builds cell `i`'s wired host into the backbone shard: the host, its
+/// sender apps, and the boundary link toward the cell's proxy.
+fn build_wired_host(
+    sim: &mut Simulator,
+    cell: usize,
+    spec: &CellSpec,
+    backbone: &LinkParams,
+) -> (NodeId, Vec<AppId>, ChannelId) {
+    let (wired, senders) = add_wired_host(sim, cell, spec);
     // Egress = wired → cell proxy: direction salt 0, like connect_keyed's
     // a→b stream when `a` is the wired host.
     let (_, ingress) =
-        sim.connect_boundary(wired, down_boundary(cell), backbone.clone(), backbone.clone(), keys.wired_link, 0);
+        sim.connect_boundary(wired, down_boundary(cell), backbone.clone(), backbone.clone(), cell_keys(cell).wired_link, 0);
     (wired, senders, ingress)
 }
 
@@ -564,19 +562,7 @@ fn build_cell(sim: &mut Simulator, cell: usize, spec: &CellSpec, wired_side: Wir
     // Local builds create the wired host first so iface/NodeId orders
     // match the dispatch order of the backbone variant.
     let (local_wired, wired_params) = match &wired_side {
-        WiredSide::Local(params) => {
-            let mut host = Host::new(format!("{}.wired", spec.name), wired_addr);
-            host.set_default_config(spec.tcp_cfg.clone());
-            let senders: Vec<AppId> = spec
-                .transfers
-                .iter()
-                .map(|&(port, bytes)| {
-                    host.add_app(Box::new(BulkSender::new((mobile_addr, port), bytes as usize)))
-                })
-                .collect();
-            let wired = sim.add_node_keyed(Box::new(host), keys.wired_node);
-            (Some((wired, senders)), params.clone())
-        }
+        WiredSide::Local(params) => (Some(add_wired_host(sim, cell, spec)), params.clone()),
         WiredSide::Boundary { params, .. } => (None, params.clone()),
     };
 
@@ -879,24 +865,10 @@ impl ShardedWorld {
         for (cell, h) in self.cells.iter().enumerate() {
             let sp = h.tag.sp;
             let label = format!("{}.sp", self.names[cell]);
-            let (kinds, errs) = self.runner.with_shard(h.shard, move |sim| {
-                sim.with_node::<ServiceProxy, _>(sp, move |p| {
-                    let kinds: Vec<String> = p
-                        .engine
-                        .registrations()
-                        .iter()
-                        .map(|r| r.filter.clone())
-                        .collect();
-                    let errs: Vec<String> = p
-                        .engine
-                        .instances_of::<Ttsf>()
-                        .filter_map(|(_, t)| t.map()?.check_invariants().err())
-                        .map(|e| format!("{label}: {e}"))
-                        .collect();
-                    (kinds, errs)
-                })
-            });
-            transformed |= kinds.iter().any(|k| TRANSFORMING.contains(&k.as_str()));
+            let (t, errs) = self
+                .runner
+                .with_shard(h.shard, move |sim| sweep_proxy(sim, sp, &label));
+            transformed |= t;
             editmap_errors.extend(errs);
         }
         let strict = single && !transformed;
@@ -910,17 +882,9 @@ impl ShardedWorld {
         shards.dedup();
         let mut merged = OracleReport::default();
         for shard in shards {
-            let report = self.runner.with_shard(shard, move |sim| {
-                let mut observer = sim
-                    .take_packet_observer()
-                    .expect("oracle attached to every endpoint shard");
-                let oracle = observer
-                    .as_any()
-                    .downcast_mut::<Oracle>()
-                    .expect("packet observer is not the conformance oracle");
-                oracle.set_strict(strict);
-                std::mem::replace(oracle, Oracle::new(OracleConfig::new(Vec::new()))).finish()
-            });
+            let report = self
+                .runner
+                .with_shard(shard, move |sim| finish_oracle(sim, strict));
             merged.violations.extend(report.violations);
             merged.total_violations += report.total_violations;
             merged.suppressed_strict += report.suppressed_strict;
@@ -928,15 +892,7 @@ impl ShardedWorld {
             merged.segments_checked += report.segments_checked;
             merged.truncated_flows += report.truncated_flows;
         }
-        for err in editmap_errors {
-            merged.total_violations += 1;
-            merged.violations.push(Violation {
-                time: self.runner.now(),
-                kind: "editmap-invariant",
-                flow: "ttsf".to_string(),
-                detail: err,
-            });
-        }
+        push_editmap_violations(&mut merged, self.runner.now(), editmap_errors);
         merged
     }
 
@@ -946,14 +902,6 @@ impl ShardedWorld {
     ///
     /// Panics with every retained violation if any oracle found one.
     pub fn assert_oracle_clean(&mut self) {
-        let report = self.oracle_report();
-        assert!(
-            report.is_clean(),
-            "conformance oracle found {} violation(s) over {} flows / {} segments:\n{}",
-            report.total_violations,
-            report.flows,
-            report.segments_checked,
-            report.render()
-        );
+        assert_clean(&self.oracle_report());
     }
 }

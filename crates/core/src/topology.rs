@@ -44,6 +44,71 @@ pub(crate) const TRANSFORMING: &[&str] = &[
     "hdiscard",
 ];
 
+/// One proxy's part of oracle finalization: whether it runs a
+/// [`TRANSFORMING`] service, and the structural-invariant failures of every
+/// live TTSF edit map on it (whatever service the TTSF runs as), each
+/// prefixed with `label`.
+pub(crate) fn sweep_proxy(sim: &mut Simulator, sp: NodeId, label: &str) -> (bool, Vec<String>) {
+    sim.with_node::<ServiceProxy, _>(sp, |p| {
+        let transformed = p
+            .engine
+            .registrations()
+            .iter()
+            .any(|r| TRANSFORMING.contains(&r.filter.as_str()));
+        let errs = p
+            .engine
+            .instances_of::<Ttsf>()
+            .filter_map(|(_, t)| t.map()?.check_invariants().err())
+            .map(|e| format!("{label}: {e}"))
+            .collect();
+        (transformed, errs)
+    })
+}
+
+/// Detaches the conformance oracle from `sim` and finishes it, strict or
+/// not.
+///
+/// # Panics
+///
+/// Panics if no oracle is attached to `sim`.
+pub(crate) fn finish_oracle(sim: &mut Simulator, strict: bool) -> OracleReport {
+    let mut observer = sim
+        .take_packet_observer()
+        .expect("no oracle attached: call attach_oracle() before running");
+    let oracle = observer
+        .as_any()
+        .downcast_mut::<Oracle>()
+        .expect("packet observer is not the conformance oracle");
+    oracle.set_strict(strict);
+    std::mem::replace(oracle, Oracle::new(OracleConfig::new(Vec::new()))).finish()
+}
+
+/// Panics with every retained violation unless `report` is clean.
+pub(crate) fn assert_clean(report: &OracleReport) {
+    assert!(
+        report.is_clean(),
+        "conformance oracle found {} violation(s) over {} flows / {} segments:\n{}",
+        report.total_violations,
+        report.flows,
+        report.segments_checked,
+        report.render()
+    );
+}
+
+/// Records each edit-map failure from [`sweep_proxy`] as an
+/// `editmap-invariant` violation at `time`.
+pub(crate) fn push_editmap_violations(report: &mut OracleReport, time: SimTime, errors: Vec<String>) {
+    for detail in errors {
+        report.total_violations += 1;
+        report.violations.push(Violation {
+            time,
+            kind: "editmap-invariant",
+            flow: "ttsf".to_string(),
+            detail,
+        });
+    }
+}
+
 /// Builder for the standard topology.
 pub struct CommaBuilder {
     seed: u64,
@@ -410,68 +475,17 @@ impl CommaWorld {
     ///
     /// Panics if no oracle is attached.
     pub fn oracle_report(&mut self) -> OracleReport {
-        let mut observer = self
-            .sim
-            .take_packet_observer()
-            .expect("no oracle attached: call attach_oracle() before running");
-        let oracle = observer
-            .as_any()
-            .downcast_mut::<Oracle>()
-            .expect("packet observer is not the conformance oracle");
-
         // Services that rewrite payload bytes or sequence spaces disable
         // the strict checks (V7 payload identity, V8 ack provenance); the
         // always-on invariants keep running regardless.
-        let mut kinds: Vec<String> = self
-            .sim
-            .with_node::<ServiceProxy, _>(self.proxy, |sp| {
-                sp.engine.registrations().iter().map(|r| r.filter.clone()).collect()
-            });
+        let (mut transformed, mut editmap_errors) = sweep_proxy(&mut self.sim, self.proxy, "sp");
         if let Some(stub) = self.stub {
-            kinds.extend(self.sim.with_node::<ServiceProxy, _>(stub, |sp| {
-                sp.engine
-                    .registrations()
-                    .iter()
-                    .map(|r| r.filter.clone())
-                    .collect::<Vec<_>>()
-            }));
-        }
-        let transformed = kinds.iter().any(|k| TRANSFORMING.contains(&k.as_str()));
-        oracle.set_strict(!transformed);
-
-        // TTSF edit maps must stay structurally sound on every proxy —
-        // sweep every TTSF-backed instance, whatever service it runs as.
-        let mut editmap_errors: Vec<String> = Vec::new();
-        let mut sweep = |sim: &mut Simulator, node: NodeId, name: &str| {
-            let label = name.to_string();
-            let errs: Vec<String> = sim.with_node::<ServiceProxy, _>(node, |sp| {
-                sp.engine
-                    .instances_of::<Ttsf>()
-                    .filter_map(|(_, t)| t.map()?.check_invariants().err())
-                    .map(|e| format!("{label}: {e}"))
-                    .collect()
-            });
+            let (t, errs) = sweep_proxy(&mut self.sim, stub, "stub");
+            transformed |= t;
             editmap_errors.extend(errs);
-        };
-        sweep(&mut self.sim, self.proxy, "sp");
-        if let Some(stub) = self.stub {
-            sweep(&mut self.sim, stub, "stub");
         }
-
-        let taken = std::mem::replace(
-            oracle,
-            Oracle::new(OracleConfig::new(Vec::new())),
-        );
-        let mut report = taken.finish();
-        for err in editmap_errors {
-            report.total_violations += 1;
-            report.violations.push(Violation {
-                time: self.sim.now(),
-                kind: "editmap-invariant",
-                flow: "ttsf".to_string(),
-                detail: err,
-            });
-        }
+        let mut report = finish_oracle(&mut self.sim, !transformed);
+        push_editmap_violations(&mut report, self.sim.now(), editmap_errors);
         report
     }
 
@@ -481,15 +495,7 @@ impl CommaWorld {
     ///
     /// Panics with every retained violation if the oracle found any.
     pub fn assert_oracle_clean(&mut self) {
-        let report = self.oracle_report();
-        assert!(
-            report.is_clean(),
-            "conformance oracle found {} violation(s) over {} flows / {} segments:\n{}",
-            report.total_violations,
-            report.flows,
-            report.segments_checked,
-            report.render()
-        );
+        assert_clean(&self.oracle_report());
     }
 
     /// The canonical downlink stream key for `(wired:sport → mobile:dport)`.

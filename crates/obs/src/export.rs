@@ -1,9 +1,9 @@
-//! Hand-rolled JSONL export (no serde — the workspace is hermetic).
+//! JSONL export: one compact [`Json`] object per line.
 //!
-//! One JSON object per line, in a fixed order: a meta header, then
-//! counters, gauges, histograms (each sorted by scope then key — `BTreeMap`
-//! iteration order), then the flight-recorder events oldest-first. With the
-//! same seed, two runs therefore produce byte-identical exports; this is
+//! Lines come in a fixed order: a meta header, then counters, gauges,
+//! histograms (each sorted by scope then key — `BTreeMap` iteration
+//! order), then the flight-recorder events oldest-first. With the same
+//! seed, two runs therefore produce byte-identical exports; this is
 //! asserted in `tests/determinism.rs`.
 //!
 //! Wall-clock measurements (anything under the reserved `wall` scope or a
@@ -11,43 +11,21 @@
 //! host-machine timings and would break the byte-identity guarantee. They
 //! remain visible in [`crate::Obs::summary`].
 
+use comma_rt::json::Json;
+
 use crate::recorder::{Event, FieldValue};
-use crate::registry::{Histogram, Registry};
+use crate::registry::Registry;
 use crate::WALL_SCOPE;
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+impl From<&FieldValue> for Json {
+    fn from(v: &FieldValue) -> Json {
+        match v {
+            FieldValue::U64(v) => Json::from(*v),
+            FieldValue::I64(v) => Json::from(*v),
+            FieldValue::F64(v) => Json::from(*v),
+            FieldValue::Bool(v) => Json::from(*v),
+            FieldValue::Str(s) => Json::from(s.as_str()),
         }
-    }
-    out
-}
-
-/// Renders an `f64` as a JSON number (non-finite values become `null`).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_field(v: &FieldValue) -> String {
-    match v {
-        FieldValue::U64(v) => v.to_string(),
-        FieldValue::I64(v) => v.to_string(),
-        FieldValue::F64(v) => json_f64(*v),
-        FieldValue::Bool(v) => v.to_string(),
-        FieldValue::Str(s) => format!("\"{}\"", json_escape(s)),
     }
 }
 
@@ -57,105 +35,65 @@ pub(crate) fn is_wall(scope: &str, key: &str) -> bool {
     scope == WALL_SCOPE || key.starts_with("wall.")
 }
 
+/// The leading fields of a metric line.
+fn metric(kind: &str, scope: &str, key: &str) -> Json {
+    Json::object().with("type", kind).with("scope", scope).with("key", key)
+}
+
+fn push_line(out: &mut String, v: Json) {
+    v.write_compact(out);
+    out.push('\n');
+}
+
 pub(crate) fn export_jsonl<'a>(
     registry: &Registry,
     events: impl Iterator<Item = &'a Event>,
     dropped: u64,
 ) -> String {
     let mut out = String::new();
-    out.push_str("{\"type\":\"meta\",\"format\":\"comma-obs\",\"version\":1}\n");
+    let meta = Json::object().with("type", "meta").with("format", "comma-obs").with("version", 1);
+    push_line(&mut out, meta);
     for (scope, m) in &registry.counters {
-        for (key, v) in m {
-            if is_wall(scope, key) {
-                continue;
-            }
-            out.push_str(&format!(
-                "{{\"type\":\"counter\",\"scope\":\"{}\",\"key\":\"{}\",\"value\":{}}}\n",
-                json_escape(scope),
-                json_escape(key),
-                v
-            ));
+        for (key, v) in m.iter().filter(|(k, _)| !is_wall(scope, k)) {
+            push_line(&mut out, metric("counter", scope, key).with("value", *v));
         }
     }
     for (scope, m) in &registry.gauges {
-        for (key, v) in m {
-            if is_wall(scope, key) {
-                continue;
-            }
-            out.push_str(&format!(
-                "{{\"type\":\"gauge\",\"scope\":\"{}\",\"key\":\"{}\",\"value\":{}}}\n",
-                json_escape(scope),
-                json_escape(key),
-                json_f64(*v)
-            ));
+        for (key, v) in m.iter().filter(|(k, _)| !is_wall(scope, k)) {
+            push_line(&mut out, metric("gauge", scope, key).with("value", *v));
         }
     }
+    let ints = |xs: &[u64]| Json::Array(xs.iter().map(|&x| Json::from(x)).collect());
     for (scope, m) in &registry.hists {
-        for (key, h) in m {
-            if is_wall(scope, key) {
-                continue;
-            }
-            out.push_str(&format!(
-                "{{\"type\":\"histogram\",\"scope\":\"{}\",\"key\":\"{}\",{}}}\n",
-                json_escape(scope),
-                json_escape(key),
-                hist_body(h)
-            ));
+        for (key, h) in m.iter().filter(|(k, _)| !is_wall(scope, k)) {
+            let hist = metric("histogram", scope, key)
+                .with("count", h.count())
+                .with("sum", h.sum())
+                .with("bounds", ints(h.bounds()))
+                .with("counts", ints(h.counts()));
+            push_line(&mut out, hist);
         }
     }
     for ev in events {
-        let mut fields = String::new();
-        for (i, (k, v)) in ev.fields.iter().enumerate() {
-            if i > 0 {
-                fields.push(',');
-            }
-            fields.push_str(&format!("\"{}\":{}", json_escape(k), json_field(v)));
-        }
-        out.push_str(&format!(
-            "{{\"type\":\"event\",\"t_us\":{},\"scope\":\"{}\",\"name\":\"{}\",\"fields\":{{{}}}}}\n",
-            ev.t_us,
-            json_escape(&ev.scope),
-            json_escape(ev.name),
-            fields
-        ));
+        let fields = ev.fields.iter().map(|(k, v)| (k.to_string(), Json::from(v)));
+        let event = Json::object()
+            .with("type", "event")
+            .with("t_us", ev.t_us)
+            .with("scope", ev.scope.as_str())
+            .with("name", ev.name)
+            .with("fields", Json::Object(fields.collect()));
+        push_line(&mut out, event);
     }
     if dropped > 0 {
-        out.push_str(&format!(
-            "{{\"type\":\"events_dropped\",\"count\":{dropped}}}\n"
-        ));
+        let tail = Json::object().with("type", "events_dropped").with("count", dropped);
+        push_line(&mut out, tail);
     }
     out
-}
-
-fn hist_body(h: &Histogram) -> String {
-    let bounds: Vec<String> = h.bounds().iter().map(|b| b.to_string()).collect();
-    let counts: Vec<String> = h.counts().iter().map(|c| c.to_string()).collect();
-    format!(
-        "\"count\":{},\"sum\":{},\"bounds\":[{}],\"counts\":[{}]",
-        h.count(),
-        h.sum(),
-        bounds.join(","),
-        counts.join(",")
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escape_covers_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn f64_formatting() {
-        assert_eq!(json_f64(3.5), "3.5");
-        assert_eq!(json_f64(3.0), "3");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-    }
 
     #[test]
     fn wall_metrics_excluded() {

@@ -529,9 +529,10 @@ impl FilterEngine {
     // The packet path.
     // ------------------------------------------------------------------
 
-    /// Runs a packet through the filter queues. Returns the packets to
-    /// forward: empty if dropped, the (possibly modified) packet plus any
-    /// injected packets otherwise.
+    /// Runs a packet through the filter queues and appends the packets to
+    /// forward to `out`: nothing if dropped, the (possibly modified)
+    /// packet plus any injected packets otherwise. `out` is the caller's
+    /// to recycle; entries already in it are left alone.
     ///
     /// Tunneled traffic is intercepted *inside* its encapsulation: a proxy
     /// co-located with a Mobile IP agent path (§5.1.1's "merge the
@@ -546,29 +547,30 @@ impl FilterEngine {
         rng: &mut SmallRng,
         metrics: &dyn MetricsSource,
         pkt: Packet,
-    ) -> Vec<Packet> {
+        out: &mut Vec<Packet>,
+    ) {
         if let IpPayload::Encap(inner) = pkt.body {
             let outer = pkt.ip;
-            let outs = self.process(now, rng, metrics, *inner);
-            return outs
-                .into_iter()
-                .map(|p| Packet {
-                    ip: outer.clone(),
-                    body: IpPayload::Encap(Box::new(p)),
-                })
-                .collect();
+            let first = out.len();
+            self.process(now, rng, metrics, *inner, out);
+            // Re-wrap only what this call appended.
+            let inner_outs = out.split_off(first);
+            out.extend(inner_outs.into_iter().map(|p| Packet {
+                ip: outer.clone(),
+                body: IpPayload::Encap(Box::new(p)),
+            }));
+            return;
         }
         let Some(key) = StreamKey::of_packet(&pkt) else {
             self.totals.pkts += 1;
             self.obs.inc("engine", "engine.pkts");
-            return vec![pkt]; // Non-keyed traffic passes through.
+            out.push(pkt); // Non-keyed traffic passes through.
+            return;
         };
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.batch.push(pkt);
-        let mut out = Vec::new();
-        self.dispatch_run(now, rng, metrics, key, &mut scratch, &mut out);
+        self.dispatch_run(now, rng, metrics, key, &mut scratch, out);
         self.scratch = scratch;
-        out
     }
 
     /// The dispatch core: runs the packets in `scratch.batch` (one
@@ -858,35 +860,33 @@ impl FilterEngine {
     }
 
     /// Dispatches a filter timer (token as produced by
-    /// [`FilterEngine::take_pending_timers`]). Returns packets to inject.
+    /// [`FilterEngine::take_pending_timers`]) and appends the packets it
+    /// injects to `out`.
     pub fn on_timer(
         &mut self,
         now: SimTime,
         rng: &mut SmallRng,
         metrics: &dyn MetricsSource,
         token: u64,
-    ) -> Vec<Packet> {
+        out: &mut Vec<Packet>,
+    ) {
         let inst_id = (token >> 32) as usize;
         let user = token & 0xffff_ffff;
-        let Some(slot) = self.instances.get_mut(inst_id) else {
-            return Vec::new();
-        };
-        let Some(inst) = slot.as_mut() else {
-            return Vec::new();
+        let Some(inst) = self.instances.get_mut(inst_id).and_then(Option::as_mut) else {
+            return;
         };
         let mut ctx = FilterCtx::new(now, rng, metrics);
         inst.filter.on_timer(&mut ctx, user);
-        let mut out = Vec::new();
-        let inj: Vec<Packet> = ctx.injections.drain(..).map(|(_, p)| p).collect();
         let mut injected = 0u64;
-        if !inj.is_empty() {
+        if !ctx.injections.is_empty() {
+            let n = ctx.injections.len() as u64;
             if inst.caps.allows(Capabilities::INJECT) {
-                inst.stats.pkts_injected += inj.len() as u64;
-                self.totals.injected += inj.len() as u64;
-                injected = inj.len() as u64;
-                out.extend(inj);
+                inst.stats.pkts_injected += n;
+                self.totals.injected += n;
+                injected = n;
+                out.extend(ctx.injections.drain(..).map(|(_, p)| p));
             } else {
-                inst.stats.violations += inj.len() as u64;
+                inst.stats.violations += n;
             }
         }
         let kind = inst.kind.clone();
@@ -902,7 +902,6 @@ impl FilterEngine {
         for k in closed {
             self.teardown_stream(now, rng, metrics, k);
         }
-        out
     }
 
     /// The per-packet flow lookup. Fast path: one FNV hash probe and a

@@ -39,7 +39,8 @@
 //!     TcpSegment::new(7, 1169, 0, 0, TcpFlags::SYN),
 //! );
 //! let mut rng = comma_rt::SmallRng::seed_from_u64(0);
-//! let out = engine.process(SimTime::ZERO, &mut rng, &NullMetrics, pkt);
+//! let mut out = Vec::new();
+//! engine.process(SimTime::ZERO, &mut rng, &NullMetrics, pkt, &mut out);
 //! assert_eq!(out.len(), 1);
 //! ```
 

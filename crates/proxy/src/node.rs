@@ -34,6 +34,8 @@ pub struct ServiceProxy {
     pub forwarded: u64,
     /// Packets dropped by filters.
     pub filtered_out: u64,
+    /// The engine's output buffer, recycled across packets and timers.
+    out: Vec<Packet>,
 }
 
 impl ServiceProxy {
@@ -55,6 +57,7 @@ impl ServiceProxy {
             rng: SmallRng::seed_from_u64(seed ^ 0x5350_5350),
             forwarded: 0,
             filtered_out: 0,
+            out: Vec::new(),
         }
     }
 
@@ -80,14 +83,16 @@ impl ServiceProxy {
         )
     }
 
-    fn forward(&mut self, ctx: &mut NodeCtx<'_>, mut pkt: Packet) {
-        if let Some(iface) = forward_step(ctx, &self.table, &mut pkt) {
-            self.forwarded += 1;
-            ctx.send(iface, pkt);
+    /// Forwards the engine's output, arms the timers its filters asked
+    /// for, and keeps the emptied buffer for the next call.
+    fn forward_all(&mut self, ctx: &mut NodeCtx<'_>, mut outs: Vec<Packet>) {
+        for mut pkt in outs.drain(..) {
+            if let Some(iface) = forward_step(ctx, &self.table, &mut pkt) {
+                self.forwarded += 1;
+                ctx.send(iface, pkt);
+            }
         }
-    }
-
-    fn arm_pending_timers(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.out = outs;
         for (delay, token) in self.engine.take_pending_timers() {
             ctx.set_timer_after(delay, token);
         }
@@ -110,29 +115,23 @@ impl Node for ServiceProxy {
         // A drop line shows the packet as it arrived, before any filter
         // rewrote it; render it only when the trace keeps lines.
         let summary = ctx.trace.capturing().then(|| pkt.summary());
-        let outs = self
-            .engine
-            .process(ctx.now, &mut self.rng, self.metrics.as_ref(), pkt);
+        let mut outs = std::mem::take(&mut self.out);
+        self.engine
+            .process(ctx.now, &mut self.rng, self.metrics.as_ref(), pkt, &mut outs);
         if outs.is_empty() {
             self.filtered_out += 1;
             ctx.trace.drop_pkt(ctx.now, ctx.node, DropReason::Filter, || {
                 summary.unwrap_or_default()
             });
         }
-        for out in outs {
-            self.forward(ctx, out);
-        }
-        self.arm_pending_timers(ctx);
+        self.forward_all(ctx, outs);
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
-        let outs = self
-            .engine
-            .on_timer(ctx.now, &mut self.rng, self.metrics.as_ref(), token);
-        for out in outs {
-            self.forward(ctx, out);
-        }
-        self.arm_pending_timers(ctx);
+        let mut outs = std::mem::take(&mut self.out);
+        self.engine
+            .on_timer(ctx.now, &mut self.rng, self.metrics.as_ref(), token, &mut outs);
+        self.forward_all(ctx, outs);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
@@ -149,6 +148,7 @@ impl Node for ServiceProxy {
             rng: self.rng.clone(),
             forwarded: self.forwarded,
             filtered_out: self.filtered_out,
+            out: Vec::new(),
         }))
     }
 

@@ -20,7 +20,9 @@
 //! fingerprint traces (with a word-folding feed for model-checker state
 //! fingerprints), and [`alloc`], a counting global-allocator harness
 //! (feature `alloc-stats`) that lets benches and CI assert
-//! allocations-per-event budgets instead of guessing.
+//! allocations-per-event budgets instead of guessing. [`json`] is the
+//! one JSON reader and writer behind the bench records and the
+//! observability export.
 //!
 //! # Examples
 //!
@@ -43,6 +45,7 @@ pub mod alloc;
 pub mod bench;
 pub mod bytes;
 pub mod digest;
+pub mod json;
 pub mod prop;
 pub mod rng;
 

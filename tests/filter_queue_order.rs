@@ -86,6 +86,13 @@ fn build(probes: Vec<(&'static str, Priority, Capabilities, Option<u8>, bool)>) 
     }
 }
 
+/// One packet through the world's engine; returns what it forwards.
+fn process(w: &mut World, pkt: Packet) -> Vec<Packet> {
+    let mut out = Vec::new();
+    w.engine.process(SimTime::ZERO, &mut w.rng, &NullMetrics, pkt, &mut out);
+    out
+}
+
 fn pkt() -> Packet {
     let mut seg = TcpSegment::new(7, 1169, 0, 0, TcpFlags::ACK);
     seg.payload = Bytes::from_static(b"payload");
@@ -107,9 +114,7 @@ fn in_top_down_out_bottom_up() {
     for tag in ["hi", "mid", "lo"] {
         w.engine.register(WildKey::ANY, tag, vec![]).unwrap();
     }
-    let outs = w
-        .engine
-        .process(SimTime::ZERO, &mut w.rng, &NullMetrics, pkt());
+    let outs = process(&mut w, pkt());
     assert_eq!(outs.len(), 1);
     assert_eq!(
         *w.log.borrow(),
@@ -127,9 +132,7 @@ fn higher_priority_overrides_lower() {
     ]);
     w.engine.register(WildKey::ANY, "hi", vec![]).unwrap();
     w.engine.register(WildKey::ANY, "lo", vec![]).unwrap();
-    let outs = w
-        .engine
-        .process(SimTime::ZERO, &mut w.rng, &NullMetrics, pkt());
+    let outs = process(&mut w, pkt());
     // Both stamp; the high-priority filter runs last and wins.
     assert_eq!(outs[0].ip.tos, 0xAA);
 }
@@ -143,9 +146,7 @@ fn drop_short_circuits_remaining_out_methods() {
     ]);
     w.engine.register(WildKey::ANY, "hi", vec![]).unwrap();
     w.engine.register(WildKey::ANY, "dropper", vec![]).unwrap();
-    let outs = w
-        .engine
-        .process(SimTime::ZERO, &mut w.rng, &NullMetrics, pkt());
+    let outs = process(&mut w, pkt());
     assert!(outs.is_empty(), "packet dropped");
     // Both saw it on the in pass; only the dropper's out method ran.
     assert_eq!(*w.log.borrow(), vec!["in:hi", "in:dropper", "out:dropper"]);
@@ -164,9 +165,7 @@ fn unauthorized_modification_blocked() {
         false,
     )]);
     w.engine.register(WildKey::ANY, "rogue", vec![]).unwrap();
-    let outs = w
-        .engine
-        .process(SimTime::ZERO, &mut w.rng, &NullMetrics, pkt());
+    let outs = process(&mut w, pkt());
     assert_eq!(outs[0].ip.tos, 0, "modification rolled back");
     let infos = w.engine.instance_infos();
     assert_eq!(infos[0].stats.violations, 1);
@@ -187,9 +186,7 @@ fn unauthorized_drop_blocked() {
         true,
     )]);
     w.engine.register(WildKey::ANY, "rogue", vec![]).unwrap();
-    let outs = w
-        .engine
-        .process(SimTime::ZERO, &mut w.rng, &NullMetrics, pkt());
+    let outs = process(&mut w, pkt());
     assert_eq!(
         outs.len(),
         1,
@@ -204,12 +201,10 @@ fn wildcard_instantiates_per_stream() {
     let mut w = build(vec![("mid", Priority::Normal, all, None, false)]);
     w.engine.register(WildKey::ANY, "mid", vec![]).unwrap();
     // Two distinct streams → two instances.
-    w.engine
-        .process(SimTime::ZERO, &mut w.rng, &NullMetrics, pkt());
+    process(&mut w, pkt());
     let mut p2 = pkt();
     p2.as_tcp_mut().unwrap().src_port = 8;
-    w.engine
-        .process(SimTime::ZERO, &mut w.rng, &NullMetrics, p2);
+    process(&mut w, p2);
     assert_eq!(w.engine.live_instances(), 2);
 }
 
@@ -246,7 +241,7 @@ fn accounting_tracks_bytes_saved() {
     let mut engine = FilterEngine::new(catalog);
     engine.register(WildKey::ANY, "shrinker", vec![]).unwrap();
     let mut rng = SmallRng::seed_from_u64(2);
-    engine.process(SimTime::ZERO, &mut rng, &NullMetrics, pkt());
+    engine.process(SimTime::ZERO, &mut rng, &NullMetrics, pkt(), &mut Vec::new());
     let stats = engine.instance_infos()[0].stats;
     assert_eq!(stats.pkts_modified, 1);
     assert_eq!(stats.bytes_removed, 6, "7-byte payload shrunk to 1");

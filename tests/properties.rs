@@ -3,6 +3,7 @@
 //! failing case prints its `COMMA_PROP_REPLAY` seed).
 
 use comma_repro::prelude::*;
+use comma_repro::rt::json::Json;
 use comma_repro::rt::prop::{gen, Runner};
 
 use comma_repro::filters::codec::{lzss_compress, lzss_decompress, rle_compress, rle_decompress};
@@ -645,4 +646,63 @@ fn histogram_bucket_counts_sum_to_sample_count() {
                 Ok(())
             },
         );
+}
+
+// ---------------------------------------------------------------------
+// JSON (comma-rt), the reader and writer behind the bench records.
+// ---------------------------------------------------------------------
+
+fn json_string(rng: &mut SmallRng) -> String {
+    const POOL: [char; 10] = ['a', 'Z', '"', '\\', '\n', '\u{0}', '\u{1f}', 'é', '😀', '\u{7f}'];
+    gen::vec_of(rng, 0..8, |rng| POOL[gen::index(rng, POOL.len())]).into_iter().collect()
+}
+
+fn json_value(rng: &mut SmallRng, depth: u32) -> Json {
+    let kinds = if depth >= 4 { 5 } else { 7 };
+    match rng.gen_range(0..kinds) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.gen_bool(0.5)),
+        2 if rng.gen_bool(0.5) => Json::Int(rng.gen::<u64>() as i128),
+        2 => Json::Int(rng.gen::<u64>() as i64 as i128),
+        3 => {
+            let f = f64::from_bits(rng.gen::<u64>());
+            Json::F64(if f.is_finite() { f } else { rng.gen::<u32>() as f64 / 7.0 })
+        }
+        4 => Json::Str(json_string(rng)),
+        5 => Json::Array(gen::vec_of(rng, 0..5, |rng| json_value(rng, depth + 1))),
+        _ => Json::Object(gen::vec_of(rng, 0..5, |rng| (json_string(rng), json_value(rng, depth + 1)))),
+    }
+}
+
+/// `Json::parse` is total — arbitrary bytes, truncated and mutated
+/// documents, and nesting far past `MAX_DEPTH` all yield `Ok` or `Err`,
+/// never a panic or a stack overflow — and it inverts both writers.
+#[test]
+fn json_parse_is_total_and_inverts_render() {
+    for open in ["[", "{\"k\":"] {
+        let deep = open.repeat(10_000);
+        assert!(Json::parse(&deep).is_err(), "10,000-deep {open} nesting accepted");
+    }
+    Runner::new("json_parse_is_total_and_inverts_render").cases(300).run(
+        |rng| {
+            let v = json_value(rng, 0);
+            let noise = gen::bytes(rng, 0..64);
+            let (cut, at, byte) = (rng.gen::<u32>() as usize, rng.gen::<u32>() as usize, rng.gen::<u8>());
+            (v, noise, cut, at, byte)
+        },
+        |(v, noise, cut, at, byte)| {
+            for text in [v.compact(), v.pretty()] {
+                let back = Json::parse(&text).ok();
+                ensure_eq!(back.as_ref(), Some(v), "{text}");
+                let bytes = text.as_bytes();
+                let truncated = &bytes[..cut % (bytes.len() + 1)];
+                let mut mutated = bytes.to_vec();
+                mutated[at % bytes.len()] = *byte;
+                for junk in [truncated, &mutated[..], &noise[..]] {
+                    let _ = Json::parse(&String::from_utf8_lossy(junk));
+                }
+            }
+            Ok(())
+        },
+    );
 }
